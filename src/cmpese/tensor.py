@@ -9,6 +9,7 @@ and float64 is used for finite-difference gradient checks.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -350,11 +351,25 @@ def dual_linear(h_a, h_b, w):
     return _result(data, (h_a, h_b, w), backward, "dual_linear")
 
 
+# Output rows per im2col block. One block is at most _SLICE_ROWS x kh*kw*Cin
+# (9 MiB for a float32 3x3 conv over 32 channels), so the transient copy stays
+# small while its GEMMs stay deep: K = kh*kw*Cin in the forward pass, and a
+# kh*kw*Cin x Cout output for the weight gradient. Per-tap GEMMs (K = Cin, or
+# a Cin x Cout output) measured slower for both.
+_SLICE_ROWS = 8192
+
+
 def conv2d(x, w, stride=1, padding=0):
     """2-D convolution, channels-last.
 
     x: (N, H, W, Cin); w: (kh, kw, Cin, Cout); symmetric zero padding.
     Output spatial extent is floor((in + 2*pad - k)/stride) + 1.
+
+    The forward pass and the weight gradient run one deep GEMM per im2col
+    block, built over a slice of the batch and dropped after its GEMM. The
+    input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
+    that tap's strided view of the padded input. The graph keeps only the
+    padded input.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D, got {x.ndim}-D")
@@ -378,6 +393,8 @@ def conv2d(x, w, stride=1, padding=0):
         xp[:, padding : padding + h, padding : padding + wd, :] = x.data
     else:
         xp = x.data
+    pointwise = kh == kw == 1 and stride == 1
+    w_flat = w.data.reshape(kh * kw * cin, cout)
     sn, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
@@ -385,22 +402,40 @@ def conv2d(x, w, stride=1, padding=0):
         strides=(sn, stride * sh, stride * sw, sh, sw, sc),
         writeable=False,
     )
-    cols = np.ascontiguousarray(windows).reshape(n * ho * wo, kh * kw * cin)
-    w_flat = w.data.reshape(kh * kw * cin, cout)
-    data = (cols @ w_flat).reshape(n, ho, wo, cout)
+
+    def blocks():
+        """(output rows, im2col block) pairs covering the batch in order."""
+        if pointwise:  # the input is its own im2col matrix
+            yield slice(None), xp.reshape(n * ho * wo, cin)
+            return
+        step = max(1, _SLICE_ROWS // (ho * wo))
+        for b in range(0, n, step):
+            e = min(b + step, n)
+            cols = np.ascontiguousarray(windows[b:e]).reshape(-1, kh * kw * cin)
+            yield slice(b * ho * wo, e * ho * wo), cols
+
+    data = np.empty((n, ho, wo, cout), dtype=np.result_type(xp, w_flat))
+    out = data.reshape(n * ho * wo, cout)
+    for rows, cols in blocks():
+        np.matmul(cols, w_flat, out=out[rows])
 
     def backward(g):
         g_flat = g.reshape(n * ho * wo, cout)
         if w.requires_grad:
-            w.accumulate_grad((cols.T @ g_flat).reshape(w.shape))
+            gw = functools.reduce(
+                np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
+            w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad or x._parents:
-            gcols = (g_flat @ w_flat.T).reshape(n, ho, wo, kh, kw, cin)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride, :] += (
-                        gcols[:, :, :, i, j, :]
-                    )
+            if pointwise:
+                gxp = (g_flat @ w_flat.T).reshape(xp.shape)
+            else:
+                gxp = np.zeros_like(xp)
+                for i in range(kh):
+                    for j in range(kw):
+                        # the padded-input positions that tap (i, j) reads
+                        view = gxp[:, i : i + stride * ho : stride,
+                                   j : j + stride * wo : stride, :]
+                        view += (g_flat @ w.data[i, j].T).reshape(n, ho, wo, cin)
             if padding > 0:
                 gxp = gxp[:, padding : padding + h, padding : padding + wd, :]
             x.accumulate_grad(gxp)
@@ -452,15 +487,16 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     eps = dt(eps)
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mean
+        var = (xc * xc).mean(axis=axes)   # bitwise x.data.var(axis=axes)
         m = dt(momentum)
         running_mean.data[...] = m * running_mean.data + (dt(1) - m) * mean
         running_var.data[...] = m * running_var.data + (dt(1) - m) * var
     else:
-        mean = running_mean.data
+        xc = x.data - running_mean.data
         var = running_var.data
     inv_std = dt(1) / np.sqrt(var + eps)
-    xn = (x.data - mean) * inv_std
+    xn = xc * inv_std
     data = gamma.data * xn + beta.data
 
     if training:

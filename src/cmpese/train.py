@@ -152,6 +152,36 @@ def _csv_row(row):
             f"{row['train_acc']:.4f},{row['eval_err']:.4f},{row['seconds']:.3f}\n")
 
 
+_CSV_HEADER = "epoch,lr,train_loss,train_acc,eval_err,seconds\n"
+
+
+def _open_metrics(path, start_epoch):
+    """Open the metrics log for appending the rows of epochs >= start_epoch.
+
+    A fresh run (start_epoch 0) starts the file with its header. A resumed
+    run keeps the header and the whole rows of earlier epochs and cuts the
+    rest: rows written after the checkpoint it resumes from are redone, and
+    would otherwise appear twice.
+    """
+    keep = 0
+    if start_epoch > 0 and os.path.exists(path):
+        with open(path, "rb") as f:
+            lines = f.readlines()
+        if lines and lines[0] == _CSV_HEADER.encode():
+            keep = len(lines[0])
+            for line in lines[1:]:
+                if not line.endswith(b"\n") or int(line.split(b",", 1)[0]) >= start_epoch:
+                    break
+                keep += len(line)
+    if keep == 0:
+        f = open(path, "w")
+        f.write(_CSV_HEADER)
+        f.flush()
+        return f
+    os.truncate(path, keep)
+    return open(path, "a")
+
+
 def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
           resume_from=None):
     """Run the full schedule; returns the per-epoch history (list of dicts).
@@ -182,17 +212,17 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "last.ckpt")
-        mode = "a" if resume_from else "w"
-        csv_file = open(os.path.join(out_dir, "metrics.csv"), mode)
-        if not resume_from:
-            csv_file.write("epoch,lr,train_loss,train_acc,eval_err,seconds\n")
-            csv_file.flush()
+        csv_file = _open_metrics(os.path.join(out_dir, "metrics.csv"), start_epoch)
+
+    saved_epoch = None
 
     def write_ckpt(epoch):
+        nonlocal saved_epoch
         if ckpt_path:
             save_checkpoint(ckpt_path, model.state_dict(), net_dict,
                             velocity=velocity, epoch=epoch,
                             rng_state=rng.bit_generator.state, cfg_hash=cfg_hash)
+        saved_epoch = epoch
 
     history = []
     try:
@@ -244,7 +274,8 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
                 csv_file.flush()
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 write_ckpt(epoch)
-        write_ckpt(cfg.total_epochs() - 1)
+        if saved_epoch != cfg.total_epochs() - 1:
+            write_ckpt(cfg.total_epochs() - 1)
     finally:
         if csv_file:
             csv_file.close()

@@ -1,6 +1,8 @@
 """Core tensor ops: forward semantics against reference implementations,
 backward passes against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +26,53 @@ def scalarize(t):
 # forward semantics
 # ---------------------------------------------------------------------------
 
+# (input shape, kernel shape, stride, padding): edge shapes that get both a
+# loop-reference and a gradient check
+CONV_EDGE_CASES = [
+    ((2, 6, 5, 3), (1, 1, 3, 4), 2, 0),    # 1x1 stride 2
+    ((2, 5, 4, 3), (2, 1, 3, 2), 1, 1),    # 2x1 kernel
+    ((2, 7, 5, 2), (3, 3, 2, 3), 2, 1),    # stride 2 on odd input extents
+    ((2, 5, 5, 1), (3, 3, 1, 2), 1, 1),    # Cin = 1
+]
+
+
 def test_conv2d_matches_loop_reference():
-    for stride, padding, kh in [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 1), (1, 0, 2)]:
-        x = RNG.standard_normal((2, 6, 5, 3))
-        w = RNG.standard_normal((kh, kh if kh != 2 else 1, 3, 4))
+    cases = [((2, 6, 5, 3), (kh, kh if kh != 2 else 1, 3, 4), stride, padding)
+             for stride, padding, kh in
+             [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 1), (1, 0, 2), (1, 0, 1)]]
+    for x_shape, w_shape, stride, padding in cases + CONV_EDGE_CASES:
+        x = RNG.standard_normal(x_shape)
+        w = RNG.standard_normal(w_shape)
         got = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
         want = conv2d_loops(x, w, stride=stride, padding=padding)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_conv2d_batch_spanning_several_slices_matches_loop_reference():
+    # 64x64 outputs per image: two images fill the first im2col slice of
+    # _SLICE_ROWS rows and the third is a ragged last slice
+    x = RNG.standard_normal((3, 64, 64, 2))
+    w = RNG.standard_normal((3, 3, 2, 2))
+    assert T._SLICE_ROWS // (64 * 64) == 2
+    got = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+    np.testing.assert_allclose(got, conv2d_loops(x, w, 1, 1), rtol=1e-10, atol=1e-12)
+
+
+def test_conv2d_graph_keeps_no_im2col_matrix():
+    # an im2col graph would hold a 9x copy of the input for a 3x3 kernel;
+    # besides its output this one holds the padded input
+    x = Tensor(RNG.standard_normal((4, 16, 16, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.standard_normal((3, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    padded_bytes = 4 * 18 * 18 * 8 * 4
+    tracemalloc.start()
+    try:
+        y = T.conv2d(x, w, stride=1, padding=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held - y.data.nbytes < 2 * padded_bytes
 
 
 def test_conv2d_output_extent():
@@ -186,6 +227,14 @@ def test_grad_conv2d_strided_padded():
         lambda rng: {"x": leaf(rng, (2, 5, 5, 2)), "w": leaf(rng, (3, 3, 2, 3))},
         lambda p: scalarize(T.conv2d(p["x"], p["w"], stride=2, padding=1)),
     )
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_EDGE_CASES)
+def test_grad_conv2d_edge_shapes(x_shape, w_shape, stride, padding):
+    def fn(p):
+        y = T.conv2d(p["x"], p["w"], stride=stride, padding=padding)
+        return scalarize(T.mul(y, y))
+    fd_case(lambda rng: {"x": leaf(rng, x_shape), "w": leaf(rng, w_shape)}, fn)
 
 
 def test_grad_reductions_and_reshapes():

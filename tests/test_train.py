@@ -1,6 +1,7 @@
 """Optimizer arithmetic, schedules, the training loop's determinism and
 resume behaviour, and checkpoint serialization."""
 
+import importlib
 import json
 import os
 
@@ -291,6 +292,71 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         np.testing.assert_array_equal(a.data, b.data)
     assert (out_full / "metrics.csv").read_bytes() \
         == (out_split / "metrics.csv").read_bytes()
+
+
+class Killed(Exception):
+    pass
+
+
+def killing_clock(reads):
+    """fake_clock that kills the run on read number reads + 1."""
+    clk, count = fake_clock(), [0]
+
+    def tick():
+        count[0] += 1
+        if count[0] > reads:
+            raise Killed
+        return clk()
+
+    return tick
+
+
+def test_resume_after_kill_past_last_checkpoint_repeats_no_rows(tmp_path):
+    data = synth_dataset(class_count=2, n_per_class=24, seed=8)
+    cfg = small_run_cfg(epochs=4, checkpoint_every=2)
+
+    full = tiny_model(mode="se")
+    out_full = tmp_path / "full"
+    train(full, data, cfg, out_dir=str(out_full), clock=fake_clock())
+
+    # two clock reads per epoch: the run dies as epoch 3 starts, after the
+    # epoch-2 row was logged but with its last checkpoint at epoch 1
+    out_split = tmp_path / "split"
+    with pytest.raises(Killed):
+        train(tiny_model(mode="se"), data, cfg, out_dir=str(out_split),
+              clock=killing_clock(6))
+    ckpt = str(out_split / "last.ckpt")
+    assert load_checkpoint(ckpt)[2]["epoch"] == 1
+    assert len((out_split / "metrics.csv").read_text().splitlines()) == 4
+
+    clk = fake_clock()
+    for _ in range(4):                               # align the fake clock
+        clk()
+    resumed = tiny_model(mode="se", seed=99)        # weights come from the checkpoint
+    train(resumed, data, cfg, out_dir=str(out_split), clock=clk, resume_from=ckpt)
+    for (ka, a), (kb, b) in zip(full.named_parameters(), resumed.named_parameters()):
+        assert ka == kb
+        np.testing.assert_array_equal(a.data, b.data)
+    assert (out_full / "metrics.csv").read_bytes() \
+        == (out_split / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("every,epochs_saved", [(0, [1]), (1, [0, 1]), (2, [1])])
+def test_final_checkpoint_written_once(tmp_path, monkeypatch, every, epochs_saved):
+    train_mod = importlib.import_module("cmpese.train")   # the package re-exports train()
+    saved = []
+    save = train_mod.save_checkpoint
+
+    def recording_save(*args, **kwargs):
+        saved.append(kwargs["epoch"])
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", recording_save)
+    data = synth_dataset(class_count=2, n_per_class=16, seed=8)
+    train(tiny_model(), data, small_run_cfg(epochs=2, checkpoint_every=every),
+          out_dir=str(tmp_path))
+    assert saved == epochs_saved
+    assert load_checkpoint(str(tmp_path / "last.ckpt"))[2]["epoch"] == 1
 
 
 def test_mixup_runs_tail_epochs_plainly():
