@@ -46,3 +46,17 @@ class NonFiniteError(FloatingPointError, CmpeSeError):
 
 class TrainingDiverged(RuntimeError, CmpeSeError):
     """Training loss became non-finite; the last checkpoint is retained."""
+
+
+class GraphReleasedError(RuntimeError, CmpeSeError):
+    """Backward reached a graph node whose backward has already run.
+
+    Backward frees the graph it walks, so a graph supports one backward.
+    """
+
+    def __init__(self, tensor_name=None):
+        self.tensor_name = tensor_name
+        message = "backward through a graph that an earlier backward has freed"
+        if tensor_name:
+            message = f"{message}: tensor '{tensor_name}'"
+        super().__init__(message)

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import GraphReleasedError, NonFiniteError, ShapeError
 
 # When False, ops return detached results (inference mode).
 _grad_enabled = True
@@ -80,40 +80,52 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g):
+        """Add ``g`` to this tensor's gradient.
+
+        The first gradient is kept without a copy when it is already a
+        C-contiguous array of the right dtype; later ones are added out of
+        place. Nothing writes into a stored gradient, so one array may be the
+        gradient of several tensors.
+        """
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype, order="C")
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this tensor through its graph."""
+        """Reverse-mode sweep from this tensor through its graph.
+
+        The sweep frees the graph as it walks: once an interior node's
+        closure has run, the node drops its gradient, its closure (with the
+        arrays the closure saved) and its parent links. Leaves keep their
+        gradients. A graph supports one backward; a second one through it
+        raises ``GraphReleasedError``.
+        """
+        if self._backward is _released:
+            raise GraphReleasedError(self.name)
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward", "implicit gradient requires a scalar output")
             grad = np.ones_like(self.data)
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+        else:
+            # the graph may hand views of the root gradient to leaves
+            grad = np.array(grad, dtype=self.data.dtype)
+        order = _topo_order(self)
         self.accumulate_grad(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        if _finite_checks:
-            for node in topo:
-                if node.grad is not None and not np.all(np.isfinite(node.grad)):
-                    raise NonFiniteError("non-finite gradient", node.name)
+        while order:
+            node = order.pop()
+            g = node.grad
+            if g is not None and _finite_checks and not np.all(np.isfinite(g)):
+                raise NonFiniteError("non-finite gradient", node.name)
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node._backward is _released:
+                raise GraphReleasedError(node.name)
+            if g is not None:
+                node._backward(g)
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -128,6 +140,31 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
+
+
+def _topo_order(root):
+    """Nodes of ``root``'s graph, each after all of its parents."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def _released(g):
+    """Stands in for the closure of a node whose backward has run."""
+    raise GraphReleasedError()
 
 
 def _result(data, parents, backward_fn, name=None):

@@ -35,7 +35,6 @@ class TrainConfig:
     mixup: MixupConfig = field(default_factory=MixupConfig)
     augment: bool = False
     seed: int = 0
-    precision: str = "float32"
     checkpoint_every: int = 0     # 0 = only the final checkpoint
     eval_batch_size: int = 256
 
@@ -69,7 +68,7 @@ PRESETS = {
 
 _TRAIN_KEYS = {
     "preset", "epochs", "batch_size", "base_lr", "momentum", "nesterov",
-    "weight_decay", "schedule", "mixup", "augment", "seed", "precision",
+    "weight_decay", "schedule", "mixup", "augment", "seed",
     "checkpoint_every", "eval_batch_size",
 }
 _MIXUP_KEYS = {"enabled", "alpha", "tail_epochs"}
@@ -106,7 +105,7 @@ def train_config_to_dict(cfg):
         "schedule": [[b, d] for b, d in cfg.schedule],
         "mixup": {"enabled": cfg.mixup.enabled, "alpha": cfg.mixup.alpha,
                   "tail_epochs": cfg.mixup.tail_epochs},
-        "augment": cfg.augment, "seed": cfg.seed, "precision": cfg.precision,
+        "augment": cfg.augment, "seed": cfg.seed,
         "checkpoint_every": cfg.checkpoint_every,
         "eval_batch_size": cfg.eval_batch_size,
     }

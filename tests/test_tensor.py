@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmpese import tensor as T
-from cmpese.errors import ShapeError
+from cmpese.attention import AttentionConfig
+from cmpese.errors import GraphReleasedError, NonFiniteError, ShapeError
 from cmpese.gradcheck import gradcheck, leaf
-from cmpese.tensor import Tensor, no_grad
+from cmpese.network import NetworkSpec, build
+from cmpese.tensor import Tensor, finite_checks, no_grad
 
 from oracles import conv2d_loops
 
@@ -180,6 +182,98 @@ def test_stack_rows_layout_and_grad_split():
     scalarize(T.mul(v, Tensor(np.array([[[1.0, 0.0], [0.0, 5.0]]])))).backward()
     np.testing.assert_array_equal(a.grad, [[1, 0]])
     np.testing.assert_array_equal(b.grad, [[0, 5]])
+
+
+# ---------------------------------------------------------------------------
+# backward frees the graph it walks
+# ---------------------------------------------------------------------------
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    b = Tensor(np.array([4.0, 5.0, -6.0]), requires_grad=True)
+    c = T.mul(a, b)
+    d = T.relu(c)
+    loss = scalarize(d)
+    loss.backward()
+    for node in (c, d, loss):
+        assert node.grad is None and node._parents == ()
+    np.testing.assert_array_equal(a.grad, [4.0, 0.0, 0.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 0.0, 0.0])
+
+
+def test_tensor_consumed_twice_gets_the_exact_sum():
+    a = Tensor(np.array([0.1, 0.7, -1.3]), requires_grad=True)
+    scalarize(T.add(a, a)).backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    # a residual: an interior node read by both the branch and the shortcut
+    x = Tensor(np.array([0.5, -0.25, 2.0]), requires_grad=True)
+    u = T.scale(x, 3.0)
+    scalarize(T.add(u, T.mul(u, u))).backward()
+    u_data = 3.0 * x.data
+    np.testing.assert_array_equal(x.grad, (1.0 + (u_data + u_data)) * 3.0)
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_shared_stack_rows_gradient_survives_later_accumulation(a_first):
+    # add() hands one array to both of its inputs: v and the leaf w share it,
+    # and with one row a's gradient from stack_rows is a view into it. a then
+    # gets a second gradient, which must not be written into that view.
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+    w = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
+    m = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    k = np.array([[10.0, 20.0]])
+    y = T.add(T.stack_rows(a, b), w)
+    terms = [scalarize(T.mul(y, Tensor(m))), scalarize(T.mul(a, Tensor(k)))]
+    T.add(*(terms if a_first else terms[::-1])).backward()
+    np.testing.assert_array_equal(w.grad, m)
+    np.testing.assert_array_equal(a.grad, m[:, 0] + k)
+    np.testing.assert_array_equal(b.grad, m[:, 1])
+
+
+def test_second_backward_through_a_graph_raises():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = T.relu(a)
+    loss = scalarize(T.mul(h, h))
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(GraphReleasedError):
+        loss.backward()
+    np.testing.assert_array_equal(a.grad, first)
+    # a new graph built on a node whose graph is gone cannot reach the leaf
+    with pytest.raises(GraphReleasedError, match="relu"):
+        scalarize(T.scale(h, 2.0)).backward()
+
+
+def test_finite_checks_name_the_first_nonfinite_gradient():
+    a = Tensor(np.array([1e-30], dtype=np.float32), requires_grad=True, name="a")
+    b = Tensor(np.array([3e38], dtype=np.float32), requires_grad=True, name="b")
+    with finite_checks(), np.errstate(over="ignore"):
+        y = T.scale(T.mul(a, b), 10.0)
+        with pytest.raises(NonFiniteError, match="'a'"):
+            scalarize(y).backward()
+
+
+@pytest.mark.parametrize("mode", ["none", "folded3x3"])
+def test_backward_peak_stays_near_the_forward_graph(mode):
+    # keeping every interior gradient and saved array to the end of the walk
+    # peaked at 1.9x the after-forward graph
+    spec = NetworkSpec(family="wrn", depth=10, widen_factor=1, num_classes=4,
+                       attention=AttentionConfig(mode=mode, t=4))
+    model = build(spec, rng=np.random.default_rng(2))
+    x = Tensor(RNG.standard_normal((16, 16, 16, 3)).astype(np.float32))
+    y = RNG.integers(0, 4, size=16)
+    model.zero_grad()
+    tracemalloc.start()
+    try:
+        loss = T.cross_entropy(model.forward(x), y)
+        graph, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * graph
 
 
 # ---------------------------------------------------------------------------

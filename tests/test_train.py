@@ -510,6 +510,14 @@ def test_unknown_keys_rejected():
         train_config_from_dict({"mixup": {"enabled": True, "beta": 0.2}})
 
 
+def test_precision_key_rejected():
+    # training always runs in the model's dtype; a precision setting would
+    # be accepted and then ignored
+    with pytest.raises(ConfigError, match="unknown train keys: precision"):
+        train_config_from_dict({"precision": "float64"})
+    assert "precision" not in train_config_to_dict(TrainConfig())
+
+
 def test_config_dict_round_trip():
     cfg = train_config_from_dict({"preset": "preact-cifar",
                                   "mixup": {"enabled": True, "alpha": 0.5}})
