@@ -22,8 +22,8 @@ from .data import load_cifar_binary, load_dataset_npz, load_synth_manifest, \
 from .diagnostics import ascii_heatmap, attention_stats, capture_trace, \
     export_inner_images, stats_to_csv
 from .errors import CmpeSeError
-from .network import block_gradient_check, build, param_count, \
-    reference_mparams, spec_from_dict
+from .gradcheck import block_gradient_check
+from .network import build, param_count, reference_mparams, spec_from_dict
 from .train import evaluate, train
 
 

@@ -2,13 +2,17 @@
 
 Central differences in float64 against a scalar-valued function of named
 parameter tensors. Used both by the test suite and the `gradcheck` CLI
-subcommand.
+subcommand, which checks one residual block per mode with
+``block_gradient_check``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
+from .attention import AttentionConfig, parse_mode
+from .network import BlockSpec, ResidualBlock
 from .tensor import Tensor, no_grad
 
 
@@ -79,3 +83,30 @@ def gradcheck(fn, params, h=1e-5, rtol=1e-4, atol=1e-5, raise_on_fail=True):
 def leaf(rng, shape, scale=1.0, name=None):
     """Convenience: a float64 leaf with requires_grad for gradcheck runs."""
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True, name=name)
+
+
+def block_gradient_check(mode, channels=8, t=4, spatial=4, batch=2, seed=0,
+                         rtol=1e-4, kind="basic", raise_on_fail=True):
+    """Finite-difference check through one full residual block in float64.
+
+    The scalar target is a fixed random weighting of the block output, so
+    every output element contributes to every gradient.
+    """
+    mode = parse_mode(mode)
+    rng = np.random.default_rng(seed)
+    att = AttentionConfig(mode=mode, t=t)
+    bspec = BlockSpec(kind, channels, channels, 1, att)
+    blk = ResidualBlock(bspec, rng=rng, dtype=np.float64)
+    blk.train()
+    x = Tensor(rng.standard_normal((batch, spatial, spatial, channels)),
+               requires_grad=True, name="input")
+    probe = rng.standard_normal((batch, spatial, spatial, channels))
+
+    params = {"input": x}
+    params.update(dict(blk.named_parameters()))
+
+    def fn(_):
+        out = blk.forward(x)
+        return T.sum_over(T.mul(out, Tensor(probe)), tuple(range(out.ndim)))
+
+    return gradcheck(fn, params, rtol=rtol, raise_on_fail=raise_on_fail)

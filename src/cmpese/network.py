@@ -28,9 +28,7 @@ from .attention import (
     recalibrate_and_add,
 )
 from .errors import ConfigError, ShapeError
-from .gradcheck import gradcheck
 from .layers import BatchNorm2d, Conv2d, Linear, Module
-from .tensor import Tensor
 
 
 @dataclass
@@ -308,34 +306,3 @@ def spec_from_dict(d):
         block=str(d.get("block", "auto")),
         attention=att,
     )
-
-
-# ---------------------------------------------------------------------------
-# block-level gradient check (also backs the CLI `gradcheck` subcommand)
-# ---------------------------------------------------------------------------
-
-def block_gradient_check(mode, channels=8, t=4, spatial=4, batch=2, seed=0,
-                         rtol=1e-4, kind="basic", raise_on_fail=True):
-    """Finite-difference check through one full residual block in float64.
-
-    The scalar target is a fixed random weighting of the block output, so
-    every output element contributes to every gradient.
-    """
-    mode = parse_mode(mode)
-    rng = np.random.default_rng(seed)
-    att = AttentionConfig(mode=mode, t=t)
-    bspec = BlockSpec(kind, channels, channels, 1, att)
-    blk = ResidualBlock(bspec, rng=rng, dtype=np.float64)
-    blk.train()
-    x = Tensor(rng.standard_normal((batch, spatial, spatial, channels)),
-               requires_grad=True, name="input")
-    probe = rng.standard_normal((batch, spatial, spatial, channels))
-
-    params = {"input": x}
-    params.update(dict(blk.named_parameters()))
-
-    def fn(_):
-        out = blk.forward(x)
-        return T.sum_over(T.mul(out, Tensor(probe)), tuple(range(out.ndim)))
-
-    return gradcheck(fn, params, rtol=rtol, raise_on_fail=raise_on_fail)

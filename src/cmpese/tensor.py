@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 
 import numpy as np
 
@@ -179,15 +180,63 @@ def _result(data, parents, backward_fn, name=None):
     return out
 
 
-def _sum_to(grad, shape):
-    """Reduce a broadcasted gradient back to the original shape."""
+def _sum_leading(x, axes, y=None, keepdims=False):
+    """``(x * y).sum(axis=axes)``, or ``x.sum(axis=axes)``, bitwise.
+
+    When the reduced axes are all leading and the last axis is kept, has more
+    than one element and is unit-stride, this is one np.einsum contraction:
+    no product temporary, and the rows are added in the order ndarray.sum
+    adds them. numpy sums a contiguous reduced axis pairwise, so any other
+    case (and a ``y`` of another shape) falls back to ndarray.sum.
+    """
+    ops = (x,) if y is None else (x, y)
+    if (axes and all(0 <= ax < x.ndim - 1 for ax in axes) and x.shape[-1] > 1
+            and all(op.shape == x.shape and op.strides[-1] == op.itemsize for op in ops)):
+        sub = "".join(chr(ord("a") + i) for i in range(x.ndim))
+        kept = "".join(c for i, c in enumerate(sub) if i not in axes)
+        out = np.einsum(",".join([sub] * len(ops)) + "->" + kept, *ops)
+        if keepdims:
+            out = out.reshape([1 if i in axes else n for i, n in enumerate(x.shape)])
+        return out
+    return np.asarray((x if y is None else x * y).sum(axis=axes, keepdims=keepdims))
+
+
+def _mean_leading(x, axes, y=None, keepdims=False):
+    """``_sum_leading`` divided by the count the way np.mean divides."""
+    s = _sum_leading(x, axes, y, keepdims)
+    count = np.intp(math.prod(x.shape[ax] for ax in axes))
+    return np.true_divide(s, count, out=s, casting="unsafe")
+
+
+# Row length, in elements, of the views _by_channel computes over.
+_WIDE_ROW = 8192
+
+
+def _by_channel(op, a, v, out=None):
+    """``op(a, v)`` for a C-vector ``v`` broadcast over ``a`` of shape (..., C).
+
+    numpy broadcasts ``v`` one C-long inner loop per row of ``a``. This runs
+    the same elementwise arithmetic, so the same bits, over rows of k whole
+    channel vectors (k*C <= _WIDE_ROW) against ``v`` tiled k times: far fewer
+    inner loops. ``out`` must be C-contiguous, so that its view is written.
+    """
+    c = a.shape[-1]
+    k = math.gcd(a.size // c, max(1, _WIDE_ROW // c))
+    wide = (a.size // (k * c), k * c)
+    res = op(a.reshape(wide), np.tile(v, k), out=None if out is None else out.reshape(wide))
+    return res.reshape(a.shape)
+
+
+def _sum_to(grad, shape, y=None):
+    """Reduce a broadcasted gradient, times ``y`` if given, back to ``shape``."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum_leading(grad, tuple(range(extra)), y)
+        y = None
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+        return _sum_leading(grad, axes, y, keepdims=True)
+    return grad if y is None else grad * y
 
 
 def as_tensor(x, dtype=np.float32):
@@ -219,9 +268,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad or a._parents:
-            a.accumulate_grad(_sum_to(g * b.data, a.shape))
+            a.accumulate_grad(_sum_to(g, a.shape, b.data))
         if b.requires_grad or b._parents:
-            b.accumulate_grad(_sum_to(g * a.data, b.shape))
+            b.accumulate_grad(_sum_to(g, b.shape, a.data))
 
     return _result(data, (a, b), backward, "mul")
 
@@ -305,11 +354,8 @@ def stack_rows(a, b):
 
 def mean_over(a, axes, keepdims=False):
     axes = tuple(axes)
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    inv = a.data.dtype.type(1.0 / count)
+    data = _mean_leading(a.data, axes, keepdims=keepdims)
+    inv = a.data.dtype.type(1.0 / math.prod(a.shape[ax] for ax in axes))
 
     def backward(g):
         if not keepdims:
@@ -321,7 +367,7 @@ def mean_over(a, axes, keepdims=False):
 
 def sum_over(a, axes, keepdims=False):
     axes = tuple(axes)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
+    data = _sum_leading(a.data, axes, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
@@ -512,6 +558,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     Training mode uses batch statistics and updates the running buffers in
     place (biased variance, momentum 0.9 convention: new = m*old + (1-m)*batch).
     Eval mode normalizes with the running buffers.
+
+    Besides its output, the op keeps only per-channel vectors (the mean and
+    1/std it used): backward recomputes the normalized input from ``x``,
+    whose data the graph holds anyway.
     """
     c = x.shape[-1]
     if gamma.shape != (c,):
@@ -523,41 +573,44 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     dt = x.data.dtype.type
     eps = dt(eps)
     if training:
-        mean = x.data.mean(axis=axes)
-        xc = x.data - mean
-        var = (xc * xc).mean(axis=axes)   # bitwise x.data.var(axis=axes)
+        mean = _mean_leading(x.data, axes)
+        data = _by_channel(np.subtract, x.data, mean)
+        var = _mean_leading(data, axes, data)   # bitwise x.data.var(axis=axes)
         m = dt(momentum)
         running_mean.data[...] = m * running_mean.data + (dt(1) - m) * mean
         running_var.data[...] = m * running_var.data + (dt(1) - m) * var
     else:
-        xc = x.data - running_mean.data
+        mean = running_mean.data.copy()     # backward needs the mean used here
+        data = _by_channel(np.subtract, x.data, mean)
         var = running_var.data
     inv_std = dt(1) / np.sqrt(var + eps)
-    xn = xc * inv_std
-    data = gamma.data * xn + beta.data
+    # the output is built in place: xn = (x - mean) * inv_std, then xn * gamma + beta
+    _by_channel(np.multiply, data, inv_std, out=data)
+    _by_channel(np.multiply, data, gamma.data, out=data)
+    _by_channel(np.add, data, beta.data, out=data)
 
-    if training:
-
-        def backward(g):
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=axes))
-            if gamma.requires_grad:
-                gamma.accumulate_grad((g * xn).sum(axis=axes))
-            if x.requires_grad or x._parents:
-                gxn = g * gamma.data
-                gm = gxn.mean(axis=axes)
-                gv = (gxn * xn).mean(axis=axes)
-                x.accumulate_grad(inv_std * (gxn - gm - xn * gv))
-
-    else:
-
-        def backward(g):
-            if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=axes))
-            if gamma.requires_grad:
-                gamma.accumulate_grad((g * xn).sum(axis=axes))
-            if x.requires_grad or x._parents:
-                x.accumulate_grad(g * gamma.data * inv_std)
+    def backward(g):
+        # xn is recomputed from the input the graph holds, not saved
+        xn = _by_channel(np.subtract, x.data, mean)
+        _by_channel(np.multiply, xn, inv_std, out=xn)
+        if beta.requires_grad:
+            beta.accumulate_grad(_sum_leading(g, axes))
+        if gamma.requires_grad:
+            gamma.accumulate_grad(_sum_leading(g, axes, xn))
+        if not (x.requires_grad or x._parents):
+            return
+        if not training:
+            x.accumulate_grad(g * gamma.data * inv_std)
+            return
+        # inv_std * (gxn - mean(gxn) - xn * mean(gxn * xn)), in place
+        gx = _by_channel(np.multiply, g, gamma.data)
+        gm = _mean_leading(gx, axes)
+        gv = _mean_leading(gx, axes, xn)
+        _by_channel(np.subtract, gx, gm, out=gx)
+        _by_channel(np.multiply, xn, gv, out=xn)
+        gx -= xn
+        _by_channel(np.multiply, gx, inv_std, out=gx)
+        x.accumulate_grad(gx)
 
     return _result(data, (x, gamma, beta), backward, "batch_norm")
 

@@ -66,6 +66,42 @@ def pairview_scan_reference(vmap, kernels, padding=0):
     return np.mean(np.stack(outs, axis=0), axis=0)
 
 
+def batch_norm_saving_xn(x, gamma, beta, running_mean, running_var, g, training,
+                         momentum=0.9, eps=1e-5):
+    """Batch norm as a graph that saves its normalized input ``xn``, with its
+    backward for the output gradient ``g``, in plain numpy expressions.
+
+    Returns (out, grad_x, grad_gamma, grad_beta); the running buffers are
+    updated in place in training mode.
+    """
+    axes = tuple(range(x.ndim - 1))
+    dt = x.dtype.type
+    eps = dt(eps)
+    if training:
+        mean = x.mean(axis=axes)
+        xc = x - mean
+        var = (xc * xc).mean(axis=axes)
+        m = dt(momentum)
+        running_mean[...] = m * running_mean + (dt(1) - m) * mean
+        running_var[...] = m * running_var + (dt(1) - m) * var
+    else:
+        xc = x - running_mean
+        var = running_var
+    inv_std = dt(1) / np.sqrt(var + eps)
+    xn = xc * inv_std
+    out = gamma * xn + beta
+    grad_beta = g.sum(axis=axes)
+    grad_gamma = (g * xn).sum(axis=axes)
+    if training:
+        gxn = g * gamma
+        gm = gxn.mean(axis=axes)
+        gv = (gxn * xn).mean(axis=axes)
+        grad_x = inv_std * (gxn - gm - xn * gv)
+    else:
+        grad_x = g * gamma * inv_std
+    return out, grad_x, grad_gamma, grad_beta
+
+
 def mean_var_two_pass(s):
     """Population mean/variance, re-derived elementwise."""
     total = 0.0

@@ -27,7 +27,8 @@ from cmpese.attention import (
 )
 from cmpese.data import MixupConfig, mixup_batch, synth_dataset
 from cmpese.diagnostics import attention_stats, capture_trace, stats_to_csv
-from cmpese.network import NetworkSpec, block_gradient_check, build, param_count
+from cmpese.gradcheck import block_gradient_check
+from cmpese.network import NetworkSpec, build, param_count
 from cmpese.tensor import Tensor
 from cmpese.train import TrainConfig, train
 

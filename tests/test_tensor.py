@@ -15,7 +15,7 @@ from cmpese.gradcheck import gradcheck, leaf
 from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
-from oracles import conv2d_loops
+from oracles import batch_norm_saving_xn, conv2d_loops
 
 RNG = np.random.default_rng(20240811)
 
@@ -150,6 +150,111 @@ def test_batch_norm_normalizes_training_batch():
                        Tensor(np.zeros(3)), Tensor(np.ones(3)), training=True)
     np.testing.assert_allclose(out.data.mean(axis=(0, 1, 2)), 0.0, atol=1e-6)
     np.testing.assert_allclose(out.data.std(axis=(0, 1, 2)), 1.0, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# per-channel reductions: bitwise equal to the numpy expressions they replace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [1, 2, 3, 16, 32, 128])
+@pytest.mark.parametrize("axes", [(0, 1, 2), (1, 2), (0,)])
+def test_sum_leading_is_bitwise_ndarray_sum(dtype, c, axes):
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal((9, 7, 13, c)).astype(dtype)
+    y = rng.standard_normal(x.shape).astype(dtype)
+    for keepdims in (False, True):
+        got = T._sum_leading(x, axes, keepdims=keepdims)
+        assert np.array_equal(got, x.sum(axis=axes, keepdims=keepdims))
+        got = T._sum_leading(x, axes, y, keepdims=keepdims)
+        assert np.array_equal(got, (x * y).sum(axis=axes, keepdims=keepdims))
+    assert np.array_equal(T.mean_over(Tensor(x), axes).data, x.mean(axis=axes))
+    assert np.array_equal(T.sum_over(Tensor(x), axes).data, x.sum(axis=axes))
+    rows = x.reshape(-1, c)
+    assert np.array_equal(T._sum_leading(rows, (0,), rows), (rows * rows).sum(axis=0))
+
+
+def test_sum_leading_falls_back_off_the_einsum_layout():
+    # a reduced last axis, a negative axis, all axes, and (in the
+    # channel-first view) a last axis that is not the unit-stride one: numpy
+    # sums each of these in another order, or keeps other axes
+    x = RNG.standard_normal((6, 9, 11, 32)).astype(np.float32)
+    view = np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    assert view.strides[-1] != view.itemsize
+    for a, cases in [(x, [(3,), (-2,), (0, -3), (0, 1, 2, 3)]),
+                     (view, [(0, 1, 2), (1, 2), (0,)])]:
+        for axes in cases:
+            assert np.array_equal(T._sum_leading(a, axes), a.sum(axis=axes))
+            assert np.array_equal(T._sum_leading(a, axes, a), (a * a).sum(axis=axes))
+
+
+@pytest.mark.parametrize("op", [np.add, np.subtract, np.multiply])
+def test_by_channel_is_bitwise_the_broadcast_op(op):
+    for shape in [(64, 32, 32, 32), (3, 5, 7, 6), (31, 1), (13, 128)]:
+        a = RNG.standard_normal(shape).astype(np.float32)
+        v = RNG.standard_normal(shape[-1]).astype(np.float32)
+        want = op(a, v)
+        assert np.array_equal(T._by_channel(op, a, v), want)
+        T._by_channel(op, a, v, out=a)
+        assert np.array_equal(a, want)
+
+
+BN_SHAPES = [(8, 5, 7, 16), (4, 6, 6, 3), (16, 4, 4, 128), (32, 2, 16, 1), (32, 1), (50, 32)]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", BN_SHAPES)
+def test_batch_norm_is_bitwise_the_saved_xn_formulation(shape, dtype, training):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    c = shape[-1]
+    x = (1.5 + 2.0 * rng.standard_normal(shape)).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    gamma = (1.0 + 0.3 * rng.standard_normal(c)).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    rm = (0.5 * rng.standard_normal(c)).astype(dtype)
+    rv = (0.5 + rng.random(c)).astype(dtype)
+    ref_rm, ref_rv = rm.copy(), rv.copy()
+    want = batch_norm_saving_xn(x, gamma, beta, ref_rm, ref_rv, g, training)
+
+    xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta))
+    run_mean, run_var = Tensor(rm.copy()), Tensor(rv.copy())
+    out = T.batch_norm(xt, gt, bt, run_mean, run_var, training)
+    assert np.array_equal(run_mean.data, ref_rm) and np.array_equal(run_var.data, ref_rv)
+    if not training:
+        # a training pass between forward and backward moves the running
+        # mean; the eval graph keeps the mean its forward pass used
+        T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), run_mean, run_var, True)
+    out.backward(g)
+    for got, ref in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+def test_batch_norm_graph_holds_only_its_output():
+    # saving xn as well held 2.0x the output beyond the input
+    x = Tensor(RNG.standard_normal((64, 32, 32, 32)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(32, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    rm, rv = Tensor(np.zeros(32, dtype=np.float32)), Tensor(np.ones(32, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        y = T.batch_norm(x, gamma, beta, rm, rv, training=True)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held <= 1.2 * y.data.nbytes
+
+
+def test_pool_and_channel_scale_are_traced_primitive_nodes():
+    # the benchmark's traced run wraps the primitive ops; these two
+    # composites must keep returning primitive nodes so their time stays in
+    # the op spans
+    u = Tensor(RNG.standard_normal((2, 3, 3, 4)), requires_grad=True)
+    s = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
+    assert T.global_avg_pool(u).name == "mean"
+    assert T.channel_scale(s, u).name == "mul"
 
 
 def test_no_grad_builds_no_graph():
