@@ -108,10 +108,28 @@ def save_checkpoint(path, model_state, network_dict, velocity=None, epoch=None,
 
 
 def load_checkpoint(path):
-    """Returns (model_state, velocity, meta)."""
+    """Returns (model_state, velocity, meta).
+
+    A sidecar that is not a JSON object holding ``epoch`` (an integer or
+    null), ``rng_state`` (an object or null) and ``network`` raises
+    DataFormatError naming the sidecar."""
     arrays = load_tensors(path)
-    with open(str(path) + ".json") as f:
-        meta = json.load(f)
+    sidecar = str(path) + ".json"
+    with open(sidecar, "rb") as f:
+        try:
+            meta = json.load(f)
+        except ValueError as e:
+            raise DataFormatError(f"{sidecar}: not a JSON checkpoint sidecar ({e})") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{sidecar}: sidecar is not a JSON object")
+    missing = [k for k in ("epoch", "rng_state", "network") if k not in meta]
+    if missing:
+        raise DataFormatError(f"{sidecar}: sidecar lacks {', '.join(missing)}")
+    epoch = meta["epoch"]
+    if epoch is not None and (type(epoch) is not int or epoch < 0):
+        raise DataFormatError(f"{sidecar}: epoch must be a non-negative integer, got {epoch!r}")
+    if not isinstance(meta["rng_state"], (dict, type(None))):
+        raise DataFormatError(f"{sidecar}: rng_state must be an object")
     model_state = {k[len("model/"):]: v for k, v in arrays.items() if k.startswith("model/")}
     velocity = {k[len("velocity/"):]: v for k, v in arrays.items()
                 if k.startswith("velocity/")}

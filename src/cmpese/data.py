@@ -37,6 +37,8 @@ class MixupConfig:
     def __post_init__(self):
         if self.enabled and self.alpha <= 0:
             raise ConfigError(f"mixup alpha must be positive, got {self.alpha}")
+        if self.tail_epochs < 0:
+            raise ConfigError(f"mixup tail_epochs must not be negative, got {self.tail_epochs}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ and float64 is used for finite-difference gradient checks.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 
@@ -21,6 +22,26 @@ _grad_enabled = True
 # When True, every op output is checked for NaN/Inf. Cheap insurance for
 # tests and gradcheck; off by default in training loops.
 _finite_checks = False
+
+
+def _keep_freed_memory():
+    """Make glibc malloc serve activation-sized arrays from the heap and keep
+    freed heap memory mapped, so the next op and step reuse it without page
+    faults. By default glibc maps each array above its dynamic threshold
+    (at most 32 MiB) afresh and trims the heap top as soon as it is freed.
+    Both thresholds are needed: setting the trim threshold alone pins the
+    mmap threshold at its 128 KiB default. Returns False off glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold, ceiling = -1, -3, 1 << 30
+    return bool(mallopt(m_mmap_threshold, ceiling)) and bool(mallopt(m_trim_threshold, ceiling))
+
+
+_KEEPS_FREED_MEMORY = _keep_freed_memory()
 
 
 @contextlib.contextmanager

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import MixupConfig, augment_batch, iterate_minibatches, mixup_batch
-from .errors import ConfigError, NonFiniteError, TrainingDiverged
+from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged
 from .network import spec_to_dict
 from .tensor import Tensor, no_grad
 
@@ -39,6 +39,16 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
+        for key, least in (("batch_size", 1), ("eval_batch_size", 1),
+                           ("epochs", 0), ("checkpoint_every", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ConfigError(f"{key} must be an integer of at least {least}, "
+                                  f"got {value!r}")
+        if self.total_epochs() < 1:
+            raise ConfigError("epochs plus mixup tail_epochs must be at least 1, got "
+                              f"{self.total_epochs()}")
         boundaries = [b for b, _ in self.schedule]
         if boundaries != sorted(set(boundaries)):
             raise ConfigError(f"schedule epochs must be strictly increasing: {boundaries}")
@@ -201,9 +211,16 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
 
     if resume_from:
         state, vel, meta = load_checkpoint(resume_from)
+        if meta["epoch"] is None or meta["rng_state"] is None:
+            raise DataFormatError(
+                f"{resume_from}.json: null epoch or rng_state; not a checkpoint to resume from")
+        try:
+            rng.bit_generator.state = meta["rng_state"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataFormatError(
+                f"{resume_from}.json: rng_state does not restore a generator ({e})") from None
         model.load_state_dict(state)
         velocity = {k: v.copy() for k, v in vel.items()}
-        rng.bit_generator.state = meta["rng_state"]
         start_epoch = meta["epoch"] + 1
 
     csv_file = None

@@ -1,6 +1,7 @@
 """Core tensor ops: forward semantics against reference implementations,
 backward passes against central finite differences."""
 
+import resource
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,27 @@ def test_conv2d_graph_keeps_no_im2col_matrix():
         tracemalloc.stop()
     assert y.requires_grad
     assert held - y.data.nbytes < 2 * padded_bytes
+
+
+@pytest.mark.skipif(not T._KEEPS_FREED_MEMORY,
+                    reason="no glibc mallopt: the allocator's policy is left as it is")
+def test_steady_state_conv_takes_no_page_faults():
+    # the padded input, 128x34x34x64 float32, is 37.9 MB: above the 32 MiB
+    # ceiling of glibc's dynamic mmap threshold, so by default every pass
+    # maps it afresh and faults its pages in again
+    x = Tensor(RNG.standard_normal((128, 32, 32, 64), dtype=np.float32))
+    w = Tensor(RNG.standard_normal((3, 3, 64, 64), dtype=np.float32))
+
+    def faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with no_grad():
+            T.conv2d(x, w, stride=1, padding=1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    for _ in range(2):
+        faults()
+    counts = [faults() for _ in range(3)]
+    assert max(counts) < 50, counts
 
 
 def test_conv2d_output_extent():

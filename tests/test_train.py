@@ -4,6 +4,7 @@ resume behaviour, and checkpoint serialization."""
 import importlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -477,6 +478,72 @@ def test_checkpoint_sidecar_metadata(tmp_path):
         assert json.load(f)["config_hash"] == meta["config_hash"]
 
 
+@pytest.fixture
+def saved_run(tmp_path):
+    """A one-epoch training run's checkpoint path and its sidecar path."""
+    data = synth_dataset(class_count=2, n_per_class=8, seed=14)
+    out = tmp_path / "run"
+    train(tiny_model(), data, small_run_cfg(epochs=1), out_dir=str(out))
+    ckpt = str(out / "last.ckpt")
+    return ckpt, ckpt + ".json"
+
+
+def resume(ckpt):
+    data = synth_dataset(class_count=2, n_per_class=8, seed=14)
+    train(tiny_model(), data, small_run_cfg(epochs=2), resume_from=ckpt)
+
+
+def test_truncated_sidecar_is_a_named_format_error(saved_run):
+    ckpt, sidecar = saved_run
+    with open(sidecar, "rb") as f:
+        text = f.read()
+    with open(sidecar, "wb") as f:
+        f.write(text[: len(text) // 2])
+    with pytest.raises(DataFormatError, match=re.escape(sidecar)):
+        load_checkpoint(ckpt)
+    with pytest.raises(DataFormatError, match=re.escape(sidecar)):
+        resume(ckpt)
+
+
+def rewrite_sidecar(sidecar, edit):
+    with open(sidecar) as f:
+        meta = json.load(f)
+    edit(meta)
+    with open(sidecar, "w") as f:
+        json.dump(meta, f)
+
+
+@pytest.mark.parametrize("key", ["epoch", "rng_state", "network"])
+def test_sidecar_missing_a_key_is_a_named_format_error(saved_run, key):
+    ckpt, sidecar = saved_run
+    rewrite_sidecar(sidecar, lambda meta: meta.pop(key))
+    with pytest.raises(DataFormatError, match=re.escape(sidecar) + ".*" + key):
+        load_checkpoint(ckpt)
+    with pytest.raises(DataFormatError, match=re.escape(sidecar)):
+        resume(ckpt)
+
+
+@pytest.mark.parametrize("key,value", [("epoch", "1"), ("epoch", -1), ("epoch", 1.0),
+                                       ("rng_state", [1, 2])])
+def test_sidecar_with_a_malformed_value_is_a_named_format_error(saved_run, key, value):
+    ckpt, sidecar = saved_run
+    rewrite_sidecar(sidecar, lambda meta: meta.update({key: value}))
+    with pytest.raises(DataFormatError, match=re.escape(sidecar) + ".*" + key):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("key,value", [("epoch", None), ("rng_state", None),
+                                       ("rng_state", {"bit_generator": "MT19937"})])
+def test_resume_refuses_a_sidecar_without_training_state(saved_run, key, value):
+    # a checkpoint saved without training state (epoch and rng state null)
+    # loads for evaluation but cannot be resumed from
+    ckpt, sidecar = saved_run
+    rewrite_sidecar(sidecar, lambda meta: meta.update({key: value}))
+    assert load_checkpoint(ckpt)[2][key] == value
+    with pytest.raises(DataFormatError, match=re.escape(sidecar)):
+        resume(ckpt)
+
+
 def test_config_hash_is_order_insensitive():
     a = config_hash({"x": 1, "y": [1, 2]})
     b = config_hash({"y": [1, 2], "x": 1})
@@ -508,6 +575,30 @@ def test_unknown_keys_rejected():
         train_config_from_dict({"preset": "imagenet"})
     with pytest.raises(ConfigError, match="beta"):
         train_config_from_dict({"mixup": {"enabled": True, "beta": 0.2}})
+
+
+@pytest.mark.parametrize("override,key", [
+    ({"batch_size": 0}, "batch_size"),
+    ({"eval_batch_size": 0}, "eval_batch_size"),
+    ({"epochs": -1}, "epochs"),
+    ({"checkpoint_every": -2}, "checkpoint_every"),
+    ({"batch_size": "64"}, "batch_size"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"checkpoint_every": True}, "checkpoint_every"),
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": 0, "mixup": {"enabled": True, "tail_epochs": 0}}, "epochs"),
+    ({"mixup": {"enabled": True, "tail_epochs": -1}}, "tail_epochs"),
+])
+def test_settings_that_cannot_train_are_rejected(override, key):
+    with pytest.raises(ConfigError, match=key):
+        train_config_from_dict(override)
+
+
+def test_smallest_valid_settings_are_accepted():
+    cfg = train_config_from_dict({"epochs": 0, "batch_size": 1, "eval_batch_size": 1,
+                                  "checkpoint_every": 0,
+                                  "mixup": {"enabled": True, "tail_epochs": 1}})
+    assert cfg.total_epochs() == 1
 
 
 def test_precision_key_rejected():
