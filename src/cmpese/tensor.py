@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -42,6 +44,85 @@ def _keep_freed_memory():
 
 
 _KEEPS_FREED_MEMORY = _keep_freed_memory()
+
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_TRANS = 101, 111, 112
+
+
+def _blas_operand(a):
+    """CBLAS transpose flag and leading dimension of a 2-D array that is
+    unit-stride along one axis; ValueError for any other layout."""
+    step = a.itemsize
+    (rows, cols), (s0, s1) = a.shape, a.strides
+    if (s1 == step or cols == 1) and s0 % step == 0 and s0 // step >= max(1, cols):
+        return _CBLAS_NO_TRANS, s0 // step
+    if (s0 == step or rows == 1) and s1 % step == 0 and s1 // step >= max(1, rows):
+        return _CBLAS_TRANS, s1 // step
+    raise ValueError(f"no BLAS layout for shape {a.shape} with strides {a.strides}")
+
+
+def _bind_blas_gemm():
+    """``gemm(c, a, b, beta)``: ``c[...] = a @ b + beta * c`` in place,
+    through the float32 and float64 GEMMs of the OpenBLAS that numpy's wheel
+    bundles, or None where they cannot be found or fail ``_gemm_is_exact``.
+
+    numpy's matmul has no beta, so it cannot add a product into an array
+    without a temporary. The library is ILP64: sizes are int64, the
+    enumerations C ints. It is the one numpy already loaded, so it shares
+    numpy's BLAS threads.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            routines = {np.dtype(np.float32): (lib.scipy_cblas_sgemm64_, ctypes.c_float),
+                        np.dtype(np.float64): (lib.scipy_cblas_dgemm64_, ctypes.c_double)}
+        except (AttributeError, OSError):
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        for fn, real in routines.values():
+            fn.argtypes = (ctypes.c_int,) * 3 + (i64,) * 3 + (real, ptr, i64, ptr, i64, real, ptr, i64)
+            fn.restype = None
+
+        def gemm(c, a, b, beta, routines=routines):
+            fn, real = routines[c.dtype]
+            (m, n), k = c.shape, a.shape[1]
+            if a.dtype != c.dtype or b.dtype != c.dtype or a.shape[0] != m or b.shape != (k, n):
+                raise ValueError(f"gemm operands {a.shape} {a.dtype} @ {b.shape} {b.dtype} "
+                                 f"-> {c.shape} {c.dtype}")
+            if _blas_operand(c) != (_CBLAS_NO_TRANS, c.strides[0] // c.itemsize):
+                raise ValueError(f"gemm output rows must be unit-stride, got {c.strides}")
+            (ta, lda), (tb, ldb) = _blas_operand(a), _blas_operand(b)
+            fn(_CBLAS_ROW_MAJOR, ta, tb, m, n, k, real(1), a.ctypes.data, lda,
+               b.ctypes.data, ldb, real(beta), c.ctypes.data, c.strides[0] // c.itemsize)
+
+        if _gemm_is_exact(gemm):
+            return gemm
+    return None
+
+
+def _gemm_is_exact(gemm):
+    """Whether ``gemm`` adds a product into a row-offset view of its output,
+    reading ``a`` with a leading dimension larger than its width and ``b``
+    transposed, exactly as numpy computes it. Small integers keep every sum
+    exact in both dtypes."""
+    rng = np.random.default_rng(0)
+    for dt in (np.float32, np.float64):
+        a = rng.integers(-4, 5, (7, 9)).astype(dt)[:, 2:7]        # lda 9 > k 5
+        b = rng.integers(-4, 5, (6, 5)).astype(dt).T              # (5, 6), transposed
+        c = rng.integers(-4, 5, (9, 6)).astype(dt)
+        want = c.copy()
+        want[2:] += a @ b
+        try:
+            gemm(c[2:], a, b, 1)
+        except (ValueError, KeyError, ctypes.ArgumentError):
+            return False
+        if not np.array_equal(c, want):
+            return False
+    return True
+
+
+# c = a @ b + beta * c in place for float32/float64, or None: see _bind_blas_gemm
+_BLAS_GEMM = _bind_blas_gemm()
 
 
 @contextlib.contextmanager
@@ -458,9 +539,21 @@ def dual_linear(h_a, h_b, w):
 # Output rows per im2col block. One block is at most _SLICE_ROWS x kh*kw*Cin
 # (9 MiB for a float32 3x3 conv over 32 channels), so the transient copy stays
 # small while its GEMMs stay deep: K = kh*kw*Cin in the forward pass, and a
-# kh*kw*Cin x Cout output for the weight gradient. Per-tap GEMMs (K = Cin, or
-# a Cin x Cout output) measured slower for both.
+# kh*kw*Cin x Cout output for the weight gradient. Per-tap weight-gradient
+# GEMMs (a Cin x Cout output) measured slower.
 _SLICE_ROWS = 8192
+# Rows of the flat forward pass's slice buffer, (_GRID_ROWS, Cout): 2 MiB for
+# a float32 conv with 32 output channels, 8 MiB with 128.
+_GRID_ROWS = 16384
+# Smallest output height and width that run on the flat padded grid. Each
+# image has (H+2)(W+2) grid rows for H*W outputs (56% more at 8x8); below
+# these floors, measured per shape at batch 32-256, the extra rows cost more
+# than the copies and strided adds the grid saves.
+_FLAT_FORWARD_MIN = 16
+_FLAT_DX_MIN = 8
+# Fewest input channels for the flat forward pass: a 3-channel stem's per-tap
+# GEMMs (depth 3) measured 3-19% slower than its one im2col GEMM (depth 27).
+_FLAT_FORWARD_MIN_CIN = 8
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -469,11 +562,27 @@ def conv2d(x, w, stride=1, padding=0):
     x: (N, H, W, Cin); w: (kh, kw, Cin, Cout); symmetric zero padding.
     Output spatial extent is floor((in + 2*pad - k)/stride) + 1.
 
-    The forward pass and the weight gradient run one deep GEMM per im2col
-    block, built over a slice of the batch and dropped after its GEMM. The
-    input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
-    that tap's strided view of the padded input. The graph keeps only the
-    padded input.
+    A stride-1 conv with a kernel larger than 1x1 and more than one input
+    channel runs on the flat padded grid when the BLAS binding is present
+    (``_BLAS_GEMM``): the padded input as (N*Hp*Wp, Cin) rows, on which
+    kernel tap (i, j) is the fixed row offset i*Wp + j. Each tap is then one
+    GEMM that BLAS adds into the result in place (beta = 1): the forward
+    pass, per batch slice, into a grid buffer whose valid corner is copied
+    out, when both output extents are at least _FLAT_FORWARD_MIN; the input
+    gradient into the padded input's grid when they are at least
+    _FLAT_DX_MIN. Otherwise the forward pass runs one deep GEMM per im2col
+    block, built over a slice of the batch and dropped after its GEMM, and
+    the input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
+    that tap's strided view of the padded input. The weight gradient always
+    runs the im2col blocks. The graph keeps only the padded input.
+
+    The flat input gradient adds the same per-tap products in the same order
+    as shift-and-GEMM, so it gives the same bits as long as BLAS does not
+    split the Cout-long sums into blocks (up to 256 output channels with the
+    OpenBLAS numpy bundles). A one-channel input stays on shift-and-GEMM,
+    where numpy runs the products as matrix-vector ones, which add in another
+    order. The flat forward pass adds one sum per tap where im2col makes one
+    sum over all taps, so its float32 results differ in the last bits.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D, got {x.ndim}-D")
@@ -498,7 +607,8 @@ def conv2d(x, w, stride=1, padding=0):
     else:
         xp = x.data
     pointwise = kh == kw == 1 and stride == 1
-    w_flat = w.data.reshape(kh * kw * cin, cout)
+    w_flat = np.ascontiguousarray(w.data).reshape(kh * kw * cin, cout)
+    dtype = np.result_type(xp, w_flat)
     sn, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
@@ -506,6 +616,11 @@ def conv2d(x, w, stride=1, padding=0):
         strides=(sn, stride * sh, stride * sw, sh, sw, sc),
         writeable=False,
     )
+    hp, wp = xp.shape[1:3]
+    flat = (_BLAS_GEMM is not None and stride == 1 and not pointwise and cin > 1
+            and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
+    kernel = w_flat.reshape(w.shape)
+    taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
 
     def blocks():
         """(output rows, im2col block) pairs covering the batch in order."""
@@ -518,10 +633,25 @@ def conv2d(x, w, stride=1, padding=0):
             cols = np.ascontiguousarray(windows[b:e]).reshape(-1, kh * kw * cin)
             yield slice(b * ho * wo, e * ho * wo), cols
 
-    data = np.empty((n, ho, wo, cout), dtype=np.result_type(xp, w_flat))
-    out = data.reshape(n * ho * wo, cout)
-    for rows, cols in blocks():
-        np.matmul(cols, w_flat, out=out[rows])
+    data = np.empty((n, ho, wo, cout), dtype=dtype)
+    if flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN:
+        # a slice's last grid rows would read past the slice, and hold no
+        # output position, so the GEMMs stop short of them
+        grid = xp.reshape(n * hp * wp, cin)
+        step = max(1, _GRID_ROWS // (hp * wp))
+        buf = np.empty((min(step, n) * hp * wp, cout), dtype=dtype)
+        for b in range(0, n, step):
+            e = min(b + step, n)
+            base, rows = b * hp * wp, (e - b) * hp * wp - taps[-1][0]
+            beta = 0   # the first tap overwrites what the last slice left
+            for off, w_tap in taps:
+                _BLAS_GEMM(buf[:rows], grid[base + off:base + off + rows], w_tap, beta)
+                beta = 1
+            data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
+    else:
+        out = data.reshape(n * ho * wo, cout)
+        for rows, cols in blocks():
+            np.matmul(cols, w_flat, out=out[rows])
 
     def backward(g):
         g_flat = g.reshape(n * ho * wo, cout)
@@ -532,6 +662,18 @@ def conv2d(x, w, stride=1, padding=0):
         if x.requires_grad or x._parents:
             if pointwise:
                 gxp = (g_flat @ w_flat.T).reshape(xp.shape)
+            elif flat and min(ho, wo) >= _FLAT_DX_MIN:
+                # g sits in the top-left corner of a zero grid, so grid row r
+                # holds the gradient of the output that tap (i, j) computed
+                # from padded row r + i*wp + j, and every other row is zero
+                g_grid = np.zeros((n, hp, wp, cout), dtype=dtype)
+                g_grid[:, :ho, :wo] = g
+                g_grid = g_grid.reshape(n * hp * wp, cout)
+                gxp = np.zeros(xp.shape, dtype=dtype)
+                gx_grid = gxp.reshape(n * hp * wp, cin)
+                for off, w_tap in taps:
+                    _BLAS_GEMM(gx_grid[off:], g_grid[:len(g_grid) - off], w_tap.T, 1)
+                del g_grid
             else:
                 gxp = np.zeros_like(xp)
                 for i in range(kh):

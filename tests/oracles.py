@@ -33,6 +33,23 @@ def conv2d_loops(x, w, stride=1, padding=0):
     return out
 
 
+def conv2d_dx_shift_gemm(g, w, x_shape, stride=1, padding=0):
+    """Input gradient of a 2-D convolution by shift-and-GEMM: per kernel tap,
+    ``g @ w[i, j].T`` added into the strided view of the padded input that
+    the tap reads, taps in row-major order. g (N,Ho,Wo,Cout), w
+    (kh,kw,Cin,Cout); returns (N,H,W,Cin)."""
+    n, h, wd, cin = x_shape
+    kh, kw, _, cout = w.shape
+    _, ho, wo, _ = g.shape
+    gxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=g.dtype)
+    g_flat = g.reshape(n * ho * wo, cout)
+    for i in range(kh):
+        for j in range(kw):
+            view = gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :]
+            view += (g_flat @ w[i, j].T).reshape(n, ho, wo, cin)
+    return gxp[:, padding:padding + h, padding:padding + wd, :]
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 

@@ -1,0 +1,74 @@
+"""scripts/bench_pairs.py: a smoke-sized pair run and its summary arithmetic."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
+
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def declared():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+@pytest.mark.skipif(not os.path.isdir(os.path.join(ROOT, ".git")),
+                    reason="needs a git checkout to export the parent from")
+def test_one_pair_against_head(tmp_path):
+    out = tmp_path / "BENCH_smoke.json"
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, "--parent", "HEAD", "--pairs", "1", "--seeds", "3-3",
+         "--workloads", "train-desk-allmodes", "--seconds", "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["pairs"] == 1 and result["seeds"] == [3]
+    assert result["environment"].startswith("environment: nproc=")
+    row = result["workloads"]["train-desk-allmodes"]
+    assert row["pairs_run"] == 1
+    assert row["runs_without_result"] == {"parent": 0, "change": 0}
+    assert row["failed"] == {"parent": 0, "change": 0}
+    assert min(row["attempted"].values()) >= 1
+    bounds = {m["name"]: m["bound"] for m in declared()["end_to_end"]}
+    assert {k: m["bound"] for k, m in row["metrics"].items()} == bounds
+    for m in row["metrics"].values():
+        assert len(m["parent"]["values"]) == len(m["change"]["values"]) == 1
+        assert m["change_wins"] + m["ties"] <= 1
+
+
+def runs(metric, parent, change):
+    return [{"parent": {"metrics": {metric: {"value": p}}},
+             "change": {"metrics": {metric: {"value": c}}}} for p, c in zip(parent, change)]
+
+
+def test_summary_counts_wins_in_the_metric_s_direction():
+    lower = {"name": "step_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}
+    row = bench_pairs.summarize(lower, runs("step_ms_p50", [10, 11, 12, 13], [9, 11, 13, 14]))
+    assert (row["change_wins"], row["ties"]) == (1, 1)
+    assert row["parent"]["median"] == 11.5 and row["change"]["median"] == 12
+    assert row["within_bound"] and not row["gain"]
+    higher = dict(lower, name="img_per_s", better="higher")
+    row = bench_pairs.summarize(higher, runs("img_per_s", [10] * 10, [9] * 10))
+    assert row["change_wins"] == 0 and row["within_bound"]
+    row = bench_pairs.summarize(higher, runs("img_per_s", [10] * 10, [7] * 10))
+    assert not row["within_bound"]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_spread():
+    metric = {"name": "img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25}
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    assert bench_pairs.summarize(metric, runs("img_per_s", parent, [p + 20 for p in parent]))["gain"]
+    # every pair won, but by less than the parent's interquartile range
+    assert not bench_pairs.summarize(metric, runs("img_per_s", parent, [p + 1 for p in parent]))["gain"]
+    # a wide gap, but only 8 of 10 pairs won
+    change = [p + 20 for p in parent[:8]] + [p - 1 for p in parent[8:]]
+    assert not bench_pairs.summarize(metric, runs("img_per_s", parent, change))["gain"]

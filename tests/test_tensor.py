@@ -16,13 +16,55 @@ from cmpese.gradcheck import gradcheck, leaf
 from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
-from oracles import batch_norm_saving_xn, conv2d_loops
+from oracles import batch_norm_saving_xn, conv2d_dx_shift_gemm, conv2d_loops
 
 RNG = np.random.default_rng(20240811)
 
 
 def scalarize(t):
     return T.sum_over(t, tuple(range(t.ndim))) if t.ndim else t
+
+
+class GemmSpy:
+    """Counts the calls conv2d makes to the BLAS binding it wraps."""
+
+    def __init__(self, gemm):
+        self.gemm, self.calls = gemm, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.gemm(*args)
+
+
+@pytest.fixture
+def flat_conv(monkeypatch):
+    """Lowers conv2d's size floors to 1, so that every eligible stride-1
+    shape runs on the flat padded grid, and returns a spy on the BLAS
+    binding; returns None where there is no binding."""
+    if T._BLAS_GEMM is None:
+        return None
+    spy = GemmSpy(T._BLAS_GEMM)
+    monkeypatch.setattr(T, "_BLAS_GEMM", spy)
+    monkeypatch.setattr(T, "_FLAT_FORWARD_MIN", 1)
+    monkeypatch.setattr(T, "_FLAT_DX_MIN", 1)
+    monkeypatch.setattr(T, "_FLAT_FORWARD_MIN_CIN", 1)
+    return spy
+
+
+@pytest.fixture
+def conv_path(request, monkeypatch):
+    """``flat``: as ``flat_conv``, skipped without a binding; ``fallback``:
+    no binding, as on a numpy without one. Returns the spy or None."""
+    if request.param == "fallback":
+        monkeypatch.setattr(T, "_BLAS_GEMM", None)
+        return None
+    if T._BLAS_GEMM is None:
+        pytest.skip("no BLAS gemm binding: conv2d has only the fallback path")
+    return request.getfixturevalue("flat_conv")
+
+
+def takes_flat_path(x_shape, w_shape, stride):
+    return stride == 1 and w_shape[:2] != (1, 1) and x_shape[3] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +94,33 @@ def test_conv2d_matches_loop_reference():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
-def test_conv2d_batch_spanning_several_slices_matches_loop_reference():
+@pytest.mark.parametrize("conv_path", ["flat", "fallback"], indirect=True)
+def test_conv2d_paths_match_loop_reference(conv_path):
+    cases = [((2, 6, 5, 3), (3, 3, 3, 4), 1, 1), ((1, 7, 4, 2), (3, 3, 2, 3), 1, 0),
+             ((2, 5, 4, 3), (2, 1, 3, 2), 1, 1), ((2, 5, 6, 3), (1, 3, 3, 2), 1, 0)]
+    for x_shape, w_shape, stride, padding in cases:
+        x = RNG.standard_normal(x_shape)
+        w = RNG.standard_normal(w_shape)
+        got = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        want = conv2d_loops(x, w, stride=stride, padding=padding)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    if conv_path is not None:   # one GEMM per kernel tap, one batch slice each
+        assert conv_path.calls == 9 + 9 + 2 + 3
+
+
+def test_conv2d_batch_spanning_several_slices_matches_loop_reference(monkeypatch):
     # 64x64 outputs per image: two images fill the first im2col slice of
-    # _SLICE_ROWS rows and the third is a ragged last slice
+    # _SLICE_ROWS rows, or the first flat-grid slice of _GRID_ROWS rows, and
+    # the third is a ragged last slice
     x = RNG.standard_normal((3, 64, 64, 2))
     w = RNG.standard_normal((3, 3, 2, 2))
     assert T._SLICE_ROWS // (64 * 64) == 2
+    monkeypatch.setattr(T, "_GRID_ROWS", 2 * 66 * 66 + 1)
     got = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
     np.testing.assert_allclose(got, conv2d_loops(x, w, 1, 1), rtol=1e-10, atol=1e-12)
+    monkeypatch.setattr(T, "_BLAS_GEMM", None)
+    im2col = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+    np.testing.assert_allclose(im2col, conv2d_loops(x, w, 1, 1), rtol=1e-10, atol=1e-12)
 
 
 def test_conv2d_graph_keeps_no_im2col_matrix():
@@ -97,6 +158,169 @@ def test_steady_state_conv_takes_no_page_faults():
         faults()
     counts = [faults() for _ in range(3)]
     assert max(counts) < 50, counts
+
+
+# ---------------------------------------------------------------------------
+# the flat padded grid and its BLAS binding
+# ---------------------------------------------------------------------------
+
+def test_gemm_self_check_refuses_a_binding_that_does_not_add():
+    def numpy_gemm(c, a, b, beta):
+        c *= beta
+        c += a @ b
+
+    def overwriting_gemm(c, a, b, beta):   # ignores beta
+        np.matmul(a, b, out=c)
+
+    assert T._gemm_is_exact(numpy_gemm)
+    assert not T._gemm_is_exact(lambda c, a, b, beta: None)
+    assert not T._gemm_is_exact(overwriting_gemm)
+    if T._BLAS_GEMM is not None:
+        assert T._gemm_is_exact(T._BLAS_GEMM)
+
+
+def test_binding_is_none_without_the_library_or_on_a_mismatch(monkeypatch):
+    monkeypatch.setattr(T.glob, "glob", lambda pattern: [])
+    assert T._bind_blas_gemm() is None
+    monkeypatch.undo()
+    monkeypatch.setattr(T, "_gemm_is_exact", lambda gemm: False)
+    assert T._bind_blas_gemm() is None
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_blas_gemm_rejects_operands_it_cannot_pass():
+    a = np.ones((4, 3), np.float32)
+    b = np.ones((3, 5), np.float32)
+    c = np.zeros((4, 5), np.float32)
+    for args in [(c, a, b.astype(np.float64)), (c[:, ::2], a, b[:, ::2]),
+                 (c, a[:, ::2], b[:2]), (c[:3], a, b)]:
+        with pytest.raises(ValueError):
+            T._BLAS_GEMM(*args, 1)
+    with pytest.raises(KeyError):
+        T._BLAS_GEMM(c.astype(np.int64), a.astype(np.int64), b.astype(np.int64), 1)
+
+
+# (input, kernel, padding): WRN-16-2's stride-1 convs at batch 64, the desk
+# WRN-10-1's at batch 32, one image, H != W, no padding and a 2x1 kernel
+DX_SHAPES = [
+    ((64, 32, 32, 16), (3, 3, 16, 32), 1), ((64, 32, 32, 32), (3, 3, 32, 32), 1),
+    ((64, 16, 16, 64), (3, 3, 64, 64), 1), ((64, 8, 8, 128), (3, 3, 128, 128), 1),
+    ((32, 16, 16, 16), (3, 3, 16, 16), 1), ((32, 8, 8, 32), (3, 3, 32, 32), 1),
+    ((32, 4, 4, 64), (3, 3, 64, 64), 1), ((1, 16, 16, 8), (3, 3, 8, 8), 1),
+    ((2, 12, 20, 4), (3, 3, 4, 6), 1), ((2, 10, 10, 4), (3, 3, 4, 5), 0),
+    ((2, 9, 8, 3), (2, 1, 3, 2), 1),
+]
+
+
+def conv_dx(x, w, padding, g):
+    xt = Tensor(x, requires_grad=True)
+    y = T.conv2d(xt, Tensor(w), stride=1, padding=padding)
+    y.backward(g)
+    return xt.grad
+
+
+@pytest.mark.parametrize("conv_path", ["flat", "fallback"], indirect=True)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape,w_shape,padding", DX_SHAPES)
+def test_conv2d_dx_is_bitwise_shift_and_gemm(x_shape, w_shape, padding, dtype, conv_path):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    ho = x_shape[1] + 2 * padding - w_shape[0] + 1
+    wo = x_shape[2] + 2 * padding - w_shape[1] + 1
+    g = rng.standard_normal((x_shape[0], ho, wo, w_shape[3])).astype(dtype)
+    got = conv_dx(x, w, padding, g)
+    assert got.dtype == dtype
+    assert np.array_equal(got, conv2d_dx_shift_gemm(g, w, x_shape, 1, padding))
+    if conv_path is not None:   # forward and input gradient on the flat grid
+        assert conv_path.calls > 0
+
+
+@pytest.mark.parametrize("x_shape,w_shape,padding", [
+    ((64, 4, 8, 1), (3, 3, 1, 20), 1),    # folded3x3's excitation map
+    ((64, 2, 64, 1), (2, 1, 1, 20), 0),   # pairview2x1's
+    ((64, 16, 16, 1), (3, 3, 1, 8), 1),   # a fold of 2C = 256 channels
+])
+def test_single_channel_convs_stay_on_shift_and_gemm(x_shape, w_shape, padding, flat_conv):
+    # numpy runs a one-channel input gradient as matrix-vector products,
+    # which BLAS sums in another order than a GEMM: the flat grid would
+    # change its bits, so the routing keeps Cin = 1 off it at any size
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(x_shape, dtype=np.float32)
+    w = rng.standard_normal(w_shape, dtype=np.float32)
+    ho = x_shape[1] + 2 * padding - w_shape[0] + 1
+    wo = x_shape[2] + 2 * padding - w_shape[1] + 1
+    g = rng.standard_normal((x_shape[0], ho, wo, w_shape[3]), dtype=np.float32)
+    got = conv_dx(x, w, padding, g)
+    assert np.array_equal(got, conv2d_dx_shift_gemm(g, w, x_shape, 1, padding))
+    if flat_conv is not None:
+        assert flat_conv.calls == 0
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+@pytest.mark.parametrize("x_shape,w_shape,stride,forward_flat,dx_flat", [
+    ((64, 32, 32, 32), (3, 3, 32, 32), 1, True, True),
+    ((64, 16, 16, 64), (3, 3, 64, 64), 1, True, True),
+    ((64, 8, 8, 128), (3, 3, 128, 128), 1, False, True),   # forward measured slower
+    ((32, 4, 4, 64), (3, 3, 64, 64), 1, False, False),
+    ((8, 32, 32, 3), (3, 3, 3, 16), 1, False, True),       # a stem; a network takes no dX there
+    ((8, 32, 32, 8), (3, 3, 8, 16), 1, True, True),
+    ((8, 32, 32, 32), (3, 3, 32, 64), 2, False, False),
+    ((8, 32, 32, 32), (1, 1, 32, 64), 1, False, False),
+])
+def test_conv2d_routing_rule(x_shape, w_shape, stride, forward_flat, dx_flat, monkeypatch):
+    spy = GemmSpy(T._BLAS_GEMM)
+    monkeypatch.setattr(T, "_BLAS_GEMM", spy)
+    x = Tensor(np.ones(x_shape, np.float32), requires_grad=True)
+    w = Tensor(np.ones(w_shape, np.float32))
+    y = T.conv2d(x, w, stride=stride, padding=1 if w_shape[0] == 3 else 0)
+    assert (spy.calls > 0) == forward_flat
+    spy.calls = 0
+    y.backward(np.ones(y.shape, np.float32))
+    assert spy.calls == (9 if dx_flat else 0)
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_flat_dx_peaks_near_two_padded_inputs():
+    # the gradient's grid and the padded input gradient; the first is freed
+    # before the padding is cropped off (that crop is a copy)
+    x = Tensor(RNG.standard_normal((64, 32, 32, 32), dtype=np.float32), requires_grad=True)
+    w = Tensor(RNG.standard_normal((3, 3, 32, 32), dtype=np.float32))
+    y = T.conv2d(x, w, stride=1, padding=1)
+    g = RNG.standard_normal(y.shape, dtype=np.float32)
+    padded_bytes = 64 * 34 * 34 * 32 * 4
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y._backward(g)    # the conv's own closure: no copy of the root gradient
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak - before <= 2.5 * padded_bytes
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_flat_forward_slice_buffer_stays_bounded_at_eval_batch():
+    # batch 256, as the eval workload runs: beyond the padded input and the
+    # output, the forward pass holds one slice buffer of at most _GRID_ROWS
+    # rows, less than the im2col block the other path would build
+    n, cin, cout = 256, 32, 32
+    x = Tensor(RNG.standard_normal((n, 32, 32, cin), dtype=np.float32))
+    w = Tensor(RNG.standard_normal((3, 3, cin, cout), dtype=np.float32))
+    padded_bytes, out_bytes = n * 34 * 34 * cin * 4, n * 32 * 32 * cout * 4
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            y = T.conv2d(x, w, stride=1, padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (n, 32, 32, cout)
+    extra = peak - before - padded_bytes - out_bytes
+    assert extra <= T._GRID_ROWS * cout * 4 + 2 ** 16
+    assert extra < T._SLICE_ROWS * 9 * cin * 4
 
 
 def test_conv2d_output_extent():
@@ -435,12 +659,14 @@ def test_grad_dual_linear():
     )
 
 
-def test_grad_conv2d_small_input_two_kernels():
+def test_grad_conv2d_small_input_two_kernels(flat_conv):
     # 1x4x4x2 input, two 3x3 kernels
     fd_case(
         lambda rng: {"x": leaf(rng, (1, 4, 4, 2)), "w": leaf(rng, (3, 3, 2, 2))},
         lambda p: scalarize(T.conv2d(p["x"], p["w"], stride=1, padding=0)),
     )
+    if flat_conv is not None:   # the check covers the flat forward and input gradient
+        assert flat_conv.calls > 0
 
 
 def test_grad_conv2d_strided_padded():
@@ -451,9 +677,24 @@ def test_grad_conv2d_strided_padded():
 
 
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_EDGE_CASES)
-def test_grad_conv2d_edge_shapes(x_shape, w_shape, stride, padding):
+def test_grad_conv2d_edge_shapes(x_shape, w_shape, stride, padding, flat_conv):
     def fn(p):
         y = T.conv2d(p["x"], p["w"], stride=stride, padding=padding)
+        return scalarize(T.mul(y, y))
+    fd_case(lambda rng: {"x": leaf(rng, x_shape), "w": leaf(rng, w_shape)}, fn)
+    if flat_conv is not None:
+        assert (flat_conv.calls > 0) == takes_flat_path(x_shape, w_shape, stride)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,padding",
+                         [((1, 4, 4, 2), (3, 3, 2, 2), 0), ((2, 5, 4, 3), (2, 1, 3, 2), 1)])
+def test_grad_conv2d_without_blas_binding(x_shape, w_shape, padding, monkeypatch):
+    # the gradchecks above run stride-1 convs on the flat grid; these run
+    # the same shapes through im2col and shift-and-GEMM
+    monkeypatch.setattr(T, "_BLAS_GEMM", None)
+
+    def fn(p):
+        y = T.conv2d(p["x"], p["w"], stride=1, padding=padding)
         return scalarize(T.mul(y, y))
     fd_case(lambda rng: {"x": leaf(rng, x_shape), "w": leaf(rng, w_shape)}, fn)
 
