@@ -568,8 +568,9 @@ def conv2d(x, w, stride=1, padding=0):
     kernel tap (i, j) is the fixed row offset i*Wp + j. Each tap is then one
     GEMM that BLAS adds into the result in place (beta = 1): the forward
     pass, per batch slice, into a grid buffer whose valid corner is copied
-    out, when both output extents are at least _FLAT_FORWARD_MIN; the input
-    gradient into the padded input's grid when they are at least
+    out, when both output extents are at least _FLAT_FORWARD_MIN and there
+    are at least _FLAT_FORWARD_MIN_CIN input channels; the input gradient
+    into the padded input's grid when both extents are at least
     _FLAT_DX_MIN. Otherwise the forward pass runs one deep GEMM per im2col
     block, built over a slice of the batch and dropped after its GEMM, and
     the input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
