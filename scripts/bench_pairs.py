@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/bench_pairs.py --parent <rev> [--pairs 10] [--seeds a-b]
-        [--workloads W ...] [--seconds S] --out BENCH_<pr>.json
+        [--workloads W ...] [--seconds S] --out BENCH_<n>.json
 
 Run from anywhere inside a checkout. The parent side is ``src/`` of <rev>,
 exported with ``git archive``; the change side is the working tree's
