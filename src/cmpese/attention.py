@@ -13,6 +13,12 @@ Five variants, selected by AttentionMode:
 * ``folded3x3`` — the 2-row map refolded into an n x m matrix with
   alternating residual/identity rows so 3x3 kernels can scan it.
 
+ExcitationUnit builds and runs all five from UNIT_SPECS, which gives per
+mode the encoder children, the scan kernel (kh, kw) or none, the inner-map
+layout (none, stacked 2 x C or folded n x m) and the encoder input width in
+multiples of C; attention_param_count reads the same table. The five public
+class names are subclasses that only set ``mode``.
+
 All excitation outputs are strictly inside (0, 1) and multiply the residual
 branch channel-wise before the shortcut addition.
 """
@@ -65,6 +71,10 @@ class AttentionConfig:
         self.mode = parse_mode(self.mode)
         if self.t < 1:
             raise ConfigError(f"reduction ratio must be positive, got {self.t}")
+        if self.mode is not AttentionMode.FOLDED_3X3 and (
+                self.fold_n is not None or self.fold_m is not None):
+            raise ConfigError(
+                f"fold_n/fold_m apply to mode 'folded3x3' only, not {self.mode.value!r}")
 
 
 def reduced_width(c, t):
@@ -84,11 +94,11 @@ def largest_divisor_leq(c, cap):
     return 1
 
 
-def resolve_fold_shape(c, fold_n=None, fold_m=None, prefer=("m", 16)):
+def resolve_fold_shape(c, fold_n=None, fold_m=None):
     """Pick (n, m) with n*m = 2C and n even (row pairs cover channels in
-    blocks of m). Explicitly inconsistent (n, m) is an error; a preferred
-    m (or n) that does not fit C falls back to the largest divisor of C
-    not exceeding it."""
+    blocks of m). Explicitly inconsistent (n, m) is an error; a requested
+    m (16 when neither is given) or n that does not fit C falls back to the
+    largest divisor of C not exceeding it."""
     if fold_n is not None and fold_m is not None:
         if fold_n * fold_m != 2 * c or fold_n % 2 != 0:
             raise ConfigError(
@@ -96,18 +106,13 @@ def resolve_fold_shape(c, fold_n=None, fold_m=None, prefer=("m", 16)):
                 f"need n*m = {2 * c} with even n"
             )
         return fold_n, fold_m
-    if fold_m is not None:
-        m = largest_divisor_leq(c, fold_m)
-        return 2 * c // m, m
     if fold_n is not None:
         if fold_n % 2 == 0 and (2 * c) % fold_n == 0 and c % ((2 * c) // fold_n) == 0:
             return fold_n, 2 * c // fold_n
         m = largest_divisor_leq(c, max(1, 2 * c // fold_n))
         return 2 * c // m, m
-    kind, val = prefer
-    if kind == "n":
-        return resolve_fold_shape(c, fold_n=val)
-    return resolve_fold_shape(c, fold_m=val)
+    m = largest_divisor_leq(c, 16 if fold_m is None else fold_m)
+    return 2 * c // m, m
 
 
 # ---------------------------------------------------------------------------
@@ -167,216 +172,156 @@ def reweight_map(before, s, layout):
 # excitation units
 # ---------------------------------------------------------------------------
 
-class _Recorder:
-    """Mixin state for diagnostics capture; see diagnostics.capture_trace."""
+@dataclass(frozen=True)
+class UnitSpec:
+    encoders: tuple           # encoder child names, registered in this order
+    kernel: tuple | None      # scan kernel (kh, kw); None for no inner map
+    layout: str | None        # inner map: None, "stacked" (2 x C) or "folded" (n x m)
+    width: int                # encoder input width, in multiples of C
 
-    recording = False
+
+UNIT_SPECS = {
+    AttentionMode.SE: UnitSpec(("reduce",), None, None, 1),
+    AttentionMode.DOUBLE_FC: UnitSpec(("reduce_res", "reduce_id"), None, None, 1),
+    AttentionMode.PAIR_2X1: UnitSpec(("encode",), (2, 1), "stacked", 1),
+    AttentionMode.PAIR_1X1: UnitSpec(("encode",), (1, 1), "stacked", 2),
+    AttentionMode.FOLDED_3X3: UnitSpec(("encode",), (3, 3), "folded", 2),
+}
+
+
+class ExcitationUnit(Module):
+    """s = sigmoid(expand(relu(encoders(squeezes)))), shaped by UNIT_SPECS[mode].
+
+    Without an inner map each encoder reads its own squeeze (residual, then
+    identity) and ``expand`` sees the encodings concatenated. With one, the
+    squeezes are stacked (and folded), scanned by the kernel bank, averaged,
+    normalized and flattened into the single encoder. Subclasses set ``mode``.
+    """
+
+    mode = None
+    recording = False   # diagnostics capture; see diagnostics.capture_trace
     last_trace = None
 
-    def _record(self, s, layout=None, before=None):
-        if not self.recording:
-            return
-        trace = {
-            "mode": self.mode.value,
-            "s": np.array(s.data, copy=True),
-            "layout": layout,
-            "before": None,
-            "after": None,
-        }
-        if before is not None:
-            raw = np.array(before, copy=True)
-            trace["before"] = raw
-            trace["after"] = reweight_map(raw, trace["s"], layout)
-        self.last_trace = trace
-
-
-class SqueezeExcite(Module, _Recorder):
-    """Baseline: s = sigmoid(expand(relu(reduce(u_hat))))."""
-
-    mode = AttentionMode.SE
-
-    def __init__(self, channels, t=16, rng=None, dtype=np.float32):
+    def __init__(self, channels, t=16, n_kernels=None, fold_n=None, fold_m=None,
+                 use_bn=True, rng=None, dtype=np.float32):
         super().__init__()
+        self.spec = spec = UNIT_SPECS[self.mode]
+        if spec.kernel is None and (n_kernels is not None or not use_bn):
+            raise ConfigError(
+                f"mode {self.mode.value!r} has no scan; n_kernels and use_bn do not apply")
+        if spec.layout != "folded" and (fold_n is not None or fold_m is not None):
+            raise ConfigError(
+                f"mode {self.mode.value!r} has no folded map; fold_n and fold_m do not apply")
         self.channels = channels
-        r = reduced_width(channels, t)
-        self.reduce = self.child("reduce", Linear(channels, r, bias=False, rng=rng, dtype=dtype))
-        self.expand = self.child("expand", Linear(r, channels, bias=False, rng=rng, dtype=dtype))
-
-    def excite(self, u_hat, x_hat=None):
-        s = T.sigmoid(self.expand(T.relu(self.reduce(u_hat))))
-        self._record(s)
-        return s
-
-
-class CompetitiveDoubleFC(Module, _Recorder):
-    """Residual and identity squeezes get separate embeddings; the excitation
-    FC sees their concatenation, residual half first."""
-
-    mode = AttentionMode.DOUBLE_FC
-
-    def __init__(self, channels, t=16, rng=None, dtype=np.float32):
-        super().__init__()
-        self.channels = channels
-        r = reduced_width(channels, t)
-        self.reduce_res = self.child(
-            "reduce_res", Linear(channels, r, bias=False, rng=rng, dtype=dtype))
-        self.reduce_id = self.child(
-            "reduce_id", Linear(channels, r, bias=False, rng=rng, dtype=dtype))
-        # one weight of shape (C, 2r); block-multiplied so a zeroed branch
-        # contributes an exact zero
-        self.expand = self.child("expand", Linear(2 * r, channels, bias=False, rng=rng, dtype=dtype))
-
-    def excite(self, u_hat, x_hat):
-        h_res = T.relu(self.reduce_res(u_hat))
-        h_id = T.relu(self.reduce_id(x_hat))
-        s = T.sigmoid(T.dual_linear(h_res, h_id, self.expand.weight))
-        self._record(s)
-        return s
-
-
-class _PairViewBase(Module, _Recorder):
-    """Shared scan-average-normalize-encode pipeline over an inner map."""
-
-    def __init__(self, channels, t, kh, kw, n_kernels, encoder_in, use_bn,
-                 rng=None, dtype=np.float32):
-        super().__init__()
-        self.channels = channels
-        self.n_kernels = n_kernels
-        self.use_bn = use_bn
-        if n_kernels < 1:
-            raise ConfigError(f"kernel count must be positive, got {n_kernels}")
         rng = rng or np.random.default_rng()
-        std = np.sqrt(2.0 / (kh * kw * n_kernels))
-        self.kernels = self.param(
-            "kernels",
-            (rng.standard_normal((kh, kw, 1, n_kernels)) * std).astype(dtype),
-            decay=True,
-        )
-        if use_bn:
-            self.norm = self.child("norm", BatchNorm2d(1, dtype=dtype))
+        if spec.kernel is not None:
+            kh, kw = spec.kernel
+            self.n_kernels = kernel_count(channels, t) if n_kernels is None else n_kernels
+            if self.n_kernels < 1:
+                raise ConfigError(f"kernel count must be positive, got {self.n_kernels}")
+            self.use_bn = use_bn
+            std = np.sqrt(2.0 / (kh * kw * self.n_kernels))
+            w = rng.standard_normal((kh, kw, 1, self.n_kernels)) * std
+            self.kernels = self.param("kernels", w.astype(dtype), decay=True)
+            if use_bn:
+                self.norm = self.child("norm", BatchNorm2d(1, dtype=dtype))
+        if spec.layout == "folded":
+            self.fold_n, self.fold_m = resolve_fold_shape(channels, fold_n, fold_m)
         r = reduced_width(channels, t)
-        self.encode = self.child("encode", Linear(encoder_in, r, bias=False, rng=rng, dtype=dtype))
-        self.expand = self.child("expand", Linear(r, channels, bias=False, rng=rng, dtype=dtype))
-        self._pad = 1 if kh == 3 else 0
+        for name in spec.encoders:
+            setattr(self, name, self.child(
+                name, Linear(spec.width * channels, r, bias=False, rng=rng, dtype=dtype)))
+        # doublefc: one weight of shape (C, 2r), block-multiplied so a zeroed
+        # branch contributes an exact zero
+        self.expand = self.child(
+            "expand", Linear(len(spec.encoders) * r, channels, bias=False, rng=rng, dtype=dtype))
 
     def _scan(self, vmap):
         """Convolve the map with every kernel, average, optionally BN.
 
-        vmap: (N, rows, cols); returns (N, rows', cols').
+        vmap: (N, rows, cols); returns (N, rows', cols'). Only the 3x3 kernel
+        is padded, so the map keeps its shape.
         """
         batch, rows, cols = vmap.shape
         x4 = T.reshape(vmap, (batch, rows, cols, 1))
-        out = T.conv2d(x4, self.kernels, stride=1, padding=self._pad)
+        pad = (self.spec.kernel[0] - 1) // 2
+        out = T.conv2d(x4, self.kernels, stride=1, padding=pad)
         avg = T.mean_over(out, (3,), keepdims=True)
         if self.use_bn:
             avg = self.norm(avg)
         return T.reshape(avg, avg.shape[:3])
 
+    def excite(self, u_hat, x_hat=None):
+        spec, vmap, squeezes = self.spec, None, (u_hat, x_hat)
+        if spec.layout is not None:
+            vmap = stack_pair_view(u_hat, x_hat)
+            if spec.layout == "folded":
+                vmap = fold_map(vmap, self.fold_n, self.fold_m)
+            squeezes = (T.reshape(self._scan(vmap), (vmap.shape[0], spec.width * self.channels)),)
+        hidden = [T.relu(getattr(self, name)(v)) for name, v in zip(spec.encoders, squeezes)]
+        if len(hidden) == 2:
+            z = T.dual_linear(hidden[0], hidden[1], self.expand.weight)
+        else:
+            z = self.expand(hidden[0])
+        s = T.sigmoid(z)
+        self._record(s, vmap)
+        return s
 
-class PairView2x1(_PairViewBase):
-    """2x1 kernels collapse the two rows; encoder input stays length C."""
+    def _record(self, s, vmap):
+        if not self.recording:
+            return
+        s = np.array(s.data, copy=True)
+        before = None if vmap is None else np.array(vmap.data, copy=True)
+        after = None if vmap is None else reweight_map(before, s, self.spec.layout)
+        self.last_trace = {"mode": self.mode.value, "s": s, "layout": self.spec.layout,
+                           "before": before, "after": after}
 
+
+class SqueezeExcite(ExcitationUnit):
+    mode = AttentionMode.SE
+
+
+class CompetitiveDoubleFC(ExcitationUnit):
+    mode = AttentionMode.DOUBLE_FC
+
+
+class PairView2x1(ExcitationUnit):
     mode = AttentionMode.PAIR_2X1
 
-    def __init__(self, channels, t=16, n_kernels=None, use_bn=True, rng=None,
-                 dtype=np.float32):
-        if n_kernels is None:
-            n_kernels = kernel_count(channels, t)
-        super().__init__(channels, t, 2, 1, n_kernels, channels, use_bn, rng, dtype)
 
-    def excite(self, u_hat, x_hat):
-        vmap = stack_pair_view(u_hat, x_hat)
-        scanned = self._scan(vmap)           # (N, 1, C)
-        v_c = T.reshape(scanned, (vmap.shape[0], self.channels))
-        s = T.sigmoid(self.expand(T.relu(self.encode(v_c))))
-        self._record(s, layout="stacked", before=vmap.data)
-        return s
-
-
-class PairView1x1(_PairViewBase):
-    """1x1 kernels keep both rows; the 2xC scan is flattened to length 2C."""
-
+class PairView1x1(ExcitationUnit):
     mode = AttentionMode.PAIR_1X1
 
-    def __init__(self, channels, t=16, n_kernels=None, use_bn=True, rng=None,
-                 dtype=np.float32):
-        if n_kernels is None:
-            n_kernels = kernel_count(channels, t)
-        super().__init__(channels, t, 1, 1, n_kernels, 2 * channels, use_bn, rng, dtype)
 
-    def excite(self, u_hat, x_hat):
-        vmap = stack_pair_view(u_hat, x_hat)
-        scanned = self._scan(vmap)           # (N, 2, C)
-        v_c = T.reshape(scanned, (vmap.shape[0], 2 * self.channels))
-        s = T.sigmoid(self.expand(T.relu(self.encode(v_c))))
-        self._record(s, layout="stacked", before=vmap.data)
-        return s
-
-
-class FoldedPairView3x3(_PairViewBase):
-    """The stacked map refolded to n x m (alternating rows) and scanned with
-    3x3 kernels under one-pixel padding, so the flattened length stays 2C."""
-
+class FoldedPairView3x3(ExcitationUnit):
     mode = AttentionMode.FOLDED_3X3
 
-    def __init__(self, channels, t=16, n_kernels=None, fold_n=None, fold_m=None,
-                 use_bn=True, rng=None, dtype=np.float32, prefer=("m", 16)):
-        if n_kernels is None:
-            n_kernels = kernel_count(channels, t)
-        super().__init__(channels, t, 3, 3, n_kernels, 2 * channels, use_bn, rng, dtype)
-        self.fold_n, self.fold_m = resolve_fold_shape(channels, fold_n, fold_m, prefer)
 
-    def excite(self, u_hat, x_hat):
-        vmap = stack_pair_view(u_hat, x_hat)
-        folded = fold_map(vmap, self.fold_n, self.fold_m)
-        scanned = self._scan(folded)         # (N, n, m)
-        v_c = T.reshape(scanned, (vmap.shape[0], 2 * self.channels))
-        s = T.sigmoid(self.expand(T.relu(self.encode(v_c))))
-        self._record(s, layout="folded", before=folded.data)
-        return s
+_UNIT_TYPES = {cls.mode: cls for cls in (SqueezeExcite, CompetitiveDoubleFC, PairView2x1,
+                                         PairView1x1, FoldedPairView3x3)}
 
 
-_UNIT_TYPES = {
-    AttentionMode.SE: SqueezeExcite,
-    AttentionMode.DOUBLE_FC: CompetitiveDoubleFC,
-    AttentionMode.PAIR_2X1: PairView2x1,
-    AttentionMode.PAIR_1X1: PairView1x1,
-    AttentionMode.FOLDED_3X3: FoldedPairView3x3,
-}
-
-
-def make_attention_unit(channels, cfg, rng=None, dtype=np.float32, prefer_fold=("m", 16)):
+def make_attention_unit(channels, cfg, rng=None, dtype=np.float32):
     """Build the unit for one residual block; None for mode 'none'."""
     mode = parse_mode(cfg.mode)
     if mode is AttentionMode.NONE:
         return None
-    if mode is AttentionMode.FOLDED_3X3:
-        return FoldedPairView3x3(
-            channels, cfg.t, fold_n=cfg.fold_n, fold_m=cfg.fold_m,
-            rng=rng, dtype=dtype, prefer=prefer_fold,
-        )
-    return _UNIT_TYPES[mode](channels, cfg.t, rng=rng, dtype=dtype)
+    return _UNIT_TYPES[mode](channels, cfg.t, fold_n=cfg.fold_n, fold_m=cfg.fold_m,
+                             rng=rng, dtype=dtype)
 
 
 def attention_param_count(channels, cfg):
-    """Trainable scalars of one unit, as pure arithmetic (no allocation)."""
+    """Trainable scalars of one unit, from UNIT_SPECS alone (no allocation)."""
     mode = parse_mode(cfg.mode)
-    c = channels
-    r = reduced_width(c, cfg.t)
-    eps = kernel_count(c, cfg.t)
     if mode is AttentionMode.NONE:
         return 0
-    if mode is AttentionMode.SE:
-        return c * r + r * c
-    if mode is AttentionMode.DOUBLE_FC:
-        return 2 * c * r + 2 * r * c
-    if mode is AttentionMode.PAIR_2X1:
-        return 2 * eps + 2 + c * r + r * c
-    if mode is AttentionMode.PAIR_1X1:
-        return eps + 2 + 2 * c * r + r * c
-    if mode is AttentionMode.FOLDED_3X3:
-        return 9 * eps + 2 + 2 * c * r + r * c
-    raise ConfigError(f"unknown attention mode {mode!r}")
+    spec = UNIT_SPECS[mode]
+    c, r = channels, reduced_width(channels, cfg.t)
+    count = len(spec.encoders) * (spec.width * c * r + r * c)
+    if spec.kernel is not None:
+        kh, kw = spec.kernel
+        count += kh * kw * kernel_count(c, cfg.t) + 2   # kernel bank + BN affine
+    return count
 
 
 def recalibrate_and_add(u_r, x_id, unit):

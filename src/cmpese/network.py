@@ -14,7 +14,7 @@ the branch by the excitation, then adds the shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +85,10 @@ def resolve_block_kind(spec):
 def stage_plan(spec):
     """Expand a NetworkSpec into (stem_width, [BlockSpec...], final_width)."""
     att = spec.attention
+    # published fold recipes: n = 20 rows for wrn, else resolve_fold_shape's m = 16
+    if (spec.family == "wrn" and parse_mode(att.mode) is AttentionMode.FOLDED_3X3
+            and att.fold_n is None and att.fold_m is None):
+        att = replace(att, fold_n=20)
     if spec.family == "wrn":
         if (spec.depth - 4) % 6 != 0 or spec.depth < 10:
             raise ConfigError(f"wrn depth must be 6u+4 with u >= 1; got {spec.depth}")
@@ -119,7 +123,7 @@ class ResidualBlock(Module):
     """Pre-activation block: shared BN+ReLU feeds both the branch and the
     projection shortcut (when one is needed)."""
 
-    def __init__(self, bspec, rng=None, dtype=np.float32, prefer_fold=("m", 16)):
+    def __init__(self, bspec, rng=None, dtype=np.float32):
         super().__init__()
         self.spec = bspec
         cin, cout, stride = bspec.in_channels, bspec.out_channels, bspec.stride
@@ -146,8 +150,7 @@ class ResidualBlock(Module):
         if bspec.shortcut == "projection":
             self.proj = self.child(
                 "proj", Conv2d(cin, cout, 1, stride=stride, rng=rng, dtype=dtype))
-        self.attn = make_attention_unit(
-            cout, bspec.attention, rng=rng, dtype=dtype, prefer_fold=prefer_fold)
+        self.attn = make_attention_unit(cout, bspec.attention, rng=rng, dtype=dtype)
         if self.attn is not None:
             self.child("attn", self.attn)
 
@@ -176,11 +179,10 @@ class Network(Module):
         self.spec = spec
         rng = rng or np.random.default_rng()
         stem, plan, final_width = stage_plan(spec)
-        prefer = ("n", 20) if spec.family == "wrn" else ("m", 16)
         self.stem = self.child("stem", Conv2d(3, stem, 3, padding=1, rng=rng, dtype=dtype))
         self.blocks = []
         for i, bspec in enumerate(plan):
-            blk = ResidualBlock(bspec, rng=rng, dtype=dtype, prefer_fold=prefer)
+            blk = ResidualBlock(bspec, rng=rng, dtype=dtype)
             self.blocks.append(self.child(f"block{i}", blk))
         self.bn_final = self.child("bn_final", BatchNorm2d(final_width, dtype=dtype))
         self.fc = self.child(

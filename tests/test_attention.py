@@ -161,11 +161,11 @@ def test_fold_rows_carry_source_tags():
 
 
 def test_resolve_fold_shape_recipes_and_fallback():
-    assert resolve_fold_shape(64, prefer=("m", 16)) == (8, 16)
-    assert resolve_fold_shape(160, prefer=("n", 20)) == (20, 16)
-    assert resolve_fold_shape(8, prefer=("m", 16)) == (2, 8)      # m falls back to C
+    assert resolve_fold_shape(64) == (8, 16)
+    assert resolve_fold_shape(160, fold_n=20) == (20, 16)
+    assert resolve_fold_shape(8) == (2, 8)                        # m falls back to C
     assert resolve_fold_shape(48, fold_m=20) == (6, 16)           # 20 ∤ 48 -> 16
-    assert resolve_fold_shape(16, prefer=("n", 20)) == (32, 1)    # 2C/20 not integral
+    assert resolve_fold_shape(16, fold_n=20) == (32, 1)           # 2C/20 not integral
     with pytest.raises(ConfigError):
         resolve_fold_shape(16, fold_n=3, fold_m=2)
 
@@ -339,12 +339,65 @@ def test_param_count_formula_matches_built_unit(mode, c, t):
     assert attention_param_count(c, cfg) == built
 
 
+_STACKED_BN = [("norm.gamma", (1,)), ("norm.beta", (1,))]
+_BN_STATS = [("norm.running_mean", (1,)), ("norm.running_var", (1,))]
+CHECKPOINT_LAYOUT = {   # C = 16, t = 4: r = 4 and 4 kernels
+    "se": [("reduce.weight", (4, 16)), ("expand.weight", (16, 4))],
+    "doublefc": [("reduce_res.weight", (4, 16)), ("reduce_id.weight", (4, 16)),
+                 ("expand.weight", (16, 8))],
+    "pairview2x1": [("kernels", (2, 1, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 16)),
+                    ("expand.weight", (16, 4)), *_BN_STATS],
+    "pairview1x1": [("kernels", (1, 1, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 32)),
+                    ("expand.weight", (16, 4)), *_BN_STATS],
+    "folded3x3": [("kernels", (3, 3, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 32)),
+                  ("expand.weight", (16, 4)), *_BN_STATS],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CHECKPOINT_LAYOUT))
+def test_checkpoint_layout_is_pinned(mode):
+    """State-dict keys, their order and shapes are the checkpoint format."""
+    unit = make_attention_unit(16, AttentionConfig(mode=mode, t=4))
+    got = [(k, v.shape) for k, v in unit.state_dict().items()]
+    assert got == CHECKPOINT_LAYOUT[mode]
+
+
 def test_param_count_ordering():
     for c in (16, 64, 160):
         cfg = lambda m: AttentionConfig(mode=m, t=16)
         assert attention_param_count(c, cfg("se")) > 0
         assert (attention_param_count(c, cfg("doublefc"))
                 > attention_param_count(c, cfg("se")))
+
+
+# ---------------------------------------------------------------------------
+# settings that would do nothing are refused
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["none", "se", "doublefc", "pairview2x1", "pairview1x1"])
+@pytest.mark.parametrize("fold", [{"fold_n": 4}, {"fold_m": 16}])
+def test_config_refuses_fold_outside_folded_mode(mode, fold):
+    with pytest.raises(ConfigError, match="folded3x3"):
+        AttentionConfig(mode=mode, **fold)
+
+
+@pytest.mark.parametrize("cls", [SqueezeExcite, CompetitiveDoubleFC])
+def test_unit_without_scan_refuses_n_kernels(cls):
+    with pytest.raises(ConfigError, match="no scan"):
+        cls(8, t=4, n_kernels=2)
+
+
+@pytest.mark.parametrize("cls", [SqueezeExcite, CompetitiveDoubleFC])
+def test_unit_without_scan_refuses_use_bn_false(cls):
+    with pytest.raises(ConfigError, match="no scan"):
+        cls(8, t=4, use_bn=False)
+
+
+@pytest.mark.parametrize("cls", [SqueezeExcite, CompetitiveDoubleFC, PairView2x1, PairView1x1])
+@pytest.mark.parametrize("fold", [{"fold_n": 4}, {"fold_m": 4}])
+def test_unit_without_fold_refuses_fold_shape(cls, fold):
+    with pytest.raises(ConfigError, match="no folded map"):
+        cls(8, t=4, **fold)
 
 
 def test_kernel_count_rule():

@@ -4,7 +4,7 @@ numeric sanity, and config round-trips."""
 import numpy as np
 import pytest
 
-from cmpese.attention import AttentionConfig
+from cmpese.attention import AttentionConfig, make_attention_unit
 from cmpese.errors import ConfigError, ShapeError
 from cmpese.network import (
     NetworkSpec,
@@ -71,6 +71,33 @@ def test_preact_110_explicit_bottleneck():
     _, blocks, _ = stage_plan(preact(110, block="bottleneck"))
     assert len(blocks) == 36
     assert all(b.kind == "bottleneck" for b in blocks)
+
+
+def test_published_fold_recipes():
+    """WRN folds to 20 rows (n, m) = (20, C/10); preact-resnet to 16 columns
+    (2C/16, 16). A pinned value overrides the family's recipe."""
+    def folds(spec):
+        _, blocks, _ = stage_plan(spec)
+        return [(b.out_channels, make_attention_unit(b.out_channels, b.attention))
+                for b in blocks]
+
+    wrn_units = folds(wrn(28, 10, mode="folded3x3", t=16))
+    assert len(wrn_units) == 12
+    for c, unit in wrn_units:
+        assert (unit.fold_n, unit.fold_m) == (20, c // 10)
+    preact_units = folds(preact(164, mode="folded3x3"))
+    assert len(preact_units) == 54
+    for c, unit in preact_units:
+        assert (unit.fold_n, unit.fold_m) == (2 * c // 16, 16)
+    for c, unit in folds(wrn(28, 10, mode="folded3x3", t=16, fold_m=16)):
+        assert (unit.fold_n, unit.fold_m) == (2 * c // 16, 16)
+
+
+def test_spec_refuses_fold_outside_folded_mode():
+    d = spec_to_dict(wrn(10, 1, mode="se"))
+    d["attention"]["fold_m"] = 16
+    with pytest.raises(ConfigError, match="folded3x3"):
+        spec_from_dict(d)
 
 
 def test_invalid_depths_rejected():
