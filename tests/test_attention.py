@@ -339,17 +339,17 @@ def test_param_count_formula_matches_built_unit(mode, c, t):
     assert attention_param_count(c, cfg) == built
 
 
-_STACKED_BN = [("norm.gamma", (1,)), ("norm.beta", (1,))]
+_BN_AFFINE = [("norm.gamma", (1,)), ("norm.beta", (1,))]
 _BN_STATS = [("norm.running_mean", (1,)), ("norm.running_var", (1,))]
 CHECKPOINT_LAYOUT = {   # C = 16, t = 4: r = 4 and 4 kernels
     "se": [("reduce.weight", (4, 16)), ("expand.weight", (16, 4))],
     "doublefc": [("reduce_res.weight", (4, 16)), ("reduce_id.weight", (4, 16)),
                  ("expand.weight", (16, 8))],
-    "pairview2x1": [("kernels", (2, 1, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 16)),
+    "pairview2x1": [("kernels", (2, 1, 1, 4)), *_BN_AFFINE, ("encode.weight", (4, 16)),
                     ("expand.weight", (16, 4)), *_BN_STATS],
-    "pairview1x1": [("kernels", (1, 1, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 32)),
+    "pairview1x1": [("kernels", (1, 1, 1, 4)), *_BN_AFFINE, ("encode.weight", (4, 32)),
                     ("expand.weight", (16, 4)), *_BN_STATS],
-    "folded3x3": [("kernels", (3, 3, 1, 4)), *_STACKED_BN, ("encode.weight", (4, 32)),
+    "folded3x3": [("kernels", (3, 3, 1, 4)), *_BN_AFFINE, ("encode.weight", (4, 32)),
                   ("expand.weight", (16, 4)), *_BN_STATS],
 }
 
