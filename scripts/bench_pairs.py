@@ -15,8 +15,9 @@ alternates from pair to pair. The machine's speed drifts, so only such pairs
 compare.
 
 The output file holds, per workload and end-to-end metric, each side's
-values, median and quartiles, how many pairs the change won, and whether
-the change's median stays inside the metric's ``BENCHMARK.json`` bound. It
+values, median and quartiles, the median and quartiles of the per-pair
+ratio change/parent, how many pairs the change won, and whether the
+change's median stays inside the metric's ``BENCHMARK.json`` bound. It
 also holds the ``failed`` and ``attempted`` totals, the runs that gave no
 result line, and the environment line of the first run.
 
@@ -122,6 +123,11 @@ def summarize(metric, runs):
     row["change_wins"] = sum(d > 0 for d in diffs)
     row["ties"] = sum(d == 0 for d in diffs)
     row["rel_change"] = (c_med - p_med) / p_med
+    # change/parent within each pair: a machine-speed switch between pairs
+    # moves both sides' medians, but not the ratio of runs made side by side
+    ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+    row["pair_ratio_median"] = statistics.median(ratios)
+    row["pair_ratio_q1"], row["pair_ratio_q3"] = quartiles(ratios)
     row["within_bound"] = sign * row["rel_change"] >= -bound
     # the gain rule: nine tenths of the pairs won, and the medians further
     # apart than the parent's interquartile range
@@ -174,7 +180,9 @@ def main(argv=None):
     for w, row in out["workloads"].items():
         for name, m in row["metrics"].items():
             print(f"{w} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
-                  f"({100 * m['rel_change']:+.1f}%, wins {m['change_wins']}/{row['pairs_run']}, "
+                  f"({100 * m['rel_change']:+.1f}%, pair ratio {m['pair_ratio_median']:.3f} "
+                  f"[{m['pair_ratio_q1']:.3f}-{m['pair_ratio_q3']:.3f}], "
+                  f"wins {m['change_wins']}/{row['pairs_run']}, "
                   f"{'inside' if m['within_bound'] else 'OUTSIDE'} bound"
                   f"{', gain' if m['gain'] else ''})")
         print(f"{w} failed: parent {row['failed']['parent']}, change {row['failed']['change']}; "

@@ -165,10 +165,13 @@ class BatchNorm2d(Module):
         self.running_mean = self.buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.running_var = self.buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def forward(self, x):
+    def forward(self, x, relu=False, pad=0):
+        """``relu``/``pad``: fuse the following ReLU, and pad for the next
+        conv; see ``tensor.batch_norm``."""
         return T.batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
             training=self.training, momentum=self.momentum, eps=self.eps,
+            relu=relu, pad=pad,
         )
 
     __call__ = forward

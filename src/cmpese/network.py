@@ -158,12 +158,12 @@ class ResidualBlock(Module):
         """Returns (residual branch output, shortcut tensor). The shortcut
         is the raw input for identity blocks, else the projected
         pre-activation — the tensor whose squeeze competes with the branch."""
-        t = T.relu(self.bn1(x))
+        t = self.bn1(x, relu=True, pad=self.conv1.padding)
         x_id = x if self.proj is None else self.proj(t)
         h = self.conv1(t)
-        h = self.conv2(T.relu(self.bn2(h)))
+        h = self.conv2(self.bn2(h, relu=True, pad=self.conv2.padding))
         if self.spec.kind == "bottleneck":
-            h = self.conv3(T.relu(self.bn3(h)))
+            h = self.conv3(self.bn3(h, relu=True, pad=self.conv3.padding))
         return h, x_id
 
     def forward(self, x):
@@ -195,7 +195,7 @@ class Network(Module):
         h = self.stem(x)
         for blk in self.blocks:
             h = blk(h)
-        h = T.relu(self.bn_final(h))
+        h = self.bn_final(h, relu=True)
         return self.fc(T.global_avg_pool(h))
 
     __call__ = forward

@@ -148,9 +148,14 @@ def finite_checks(enabled=True):
 
 
 class Tensor:
-    """Dense array plus optional gradient buffer and autodiff linkage."""
+    """Dense array plus optional gradient buffer and autodiff linkage.
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    ``padded`` is None except on the output of ``batch_norm(..., pad=p)``:
+    there it is the zero-bordered array whose interior view is ``data``,
+    which ``conv2d`` with the same padding reads in place of its own copy.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "padded")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
@@ -159,6 +164,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
+        self.padded = None
 
     @property
     def shape(self):
@@ -575,7 +581,13 @@ def conv2d(x, w, stride=1, padding=0):
     block, built over a slice of the batch and dropped after its GEMM, and
     the input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
     that tap's strided view of the padded input. The weight gradient always
-    runs the im2col blocks. The graph keeps only the padded input.
+    runs the im2col blocks.
+
+    With ``padding`` p > 0 the input is zero-padded into a new array, unless
+    ``x.padded`` (set only by ``batch_norm(..., pad=p)``) has exactly the
+    padded shape (N, H+2p, W+2p, Cin): then that buffer, whose interior is
+    ``x.data`` and whose border is zero, is the padded input, with no copy.
+    A buffer of any other shape was padded for another conv and is ignored.
 
     The flat input gradient adds the same per-tap products in the same order
     as shift-and-GEMM, so it gives the same bits as long as BLAS does not
@@ -602,11 +614,14 @@ def conv2d(x, w, stride=1, padding=0):
             "conv2d",
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wd}",
         )
+    xp = x.data
     if padding > 0:
-        xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
-        xp[:, padding : padding + h, padding : padding + wd, :] = x.data
-    else:
-        xp = x.data
+        shape = (n, h + 2 * padding, wd + 2 * padding, cin)
+        if x.padded is not None and x.padded.shape == shape:
+            xp = x.padded
+        else:
+            xp = np.zeros(shape, dtype=x.dtype)
+            xp[:, padding : padding + h, padding : padding + wd, :] = x.data
     pointwise = kh == kw == 1 and stride == 1
     w_flat = np.ascontiguousarray(w.data).reshape(kh * kw * cin, cout)
     dtype = np.result_type(xp, w_flat)
@@ -716,7 +731,7 @@ def channel_scale(s, u):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.9, eps=1e-5):
+               momentum=0.9, eps=1e-5, relu=False, pad=0):
     """Normalize over all axes but the last; affine scale/shift.
 
     Training mode uses batch statistics and updates the running buffers in
@@ -726,6 +741,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     Besides its output, the op keeps only per-channel vectors (the mean and
     1/std it used): backward recomputes the normalized input from ``x``,
     whose data the graph holds anyway.
+
+    ``relu=True`` returns ``relu(batch_norm(x))`` as one op: the ReLU runs in
+    place on the output, and backward masks the gradient with ``output > 0``
+    before the batch-norm backward. ``pad=p > 0`` (with ``relu``, on a 4-D
+    input) also writes that output into the interior of a zeroed (N, H+2p,
+    W+2p, C) array: the result's ``data`` is the interior view and its
+    ``padded`` the whole array, which a following ``conv2d`` with padding p
+    uses as its padded input. A pre-activation unit ``conv(relu(bn(x)))``
+    then keeps one copy of its activation instead of three.
     """
     c = x.shape[-1]
     if gamma.shape != (c,):
@@ -733,6 +757,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             "batch_norm", f"affine params sized {gamma.shape[0]} but input has {c} channels",
             axis=x.ndim - 1,
         )
+    if pad and not (relu and x.ndim == 4):
+        raise ShapeError("batch_norm", f"pad={pad} needs relu=True and a 4-D input")
     axes = tuple(range(x.ndim - 1))
     dt = x.data.dtype.type
     eps = dt(eps)
@@ -752,8 +778,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     _by_channel(np.multiply, data, inv_std, out=data)
     _by_channel(np.multiply, data, gamma.data, out=data)
     _by_channel(np.add, data, beta.data, out=data)
+    padded = None
+    if pad:
+        n, h, wd = x.shape[:3]
+        padded = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=data.dtype)
+        data = np.maximum(data, 0, out=padded[:, pad : pad + h, pad : pad + wd])
+    elif relu:
+        np.maximum(data, 0, out=data)
 
     def backward(g):
+        if relu:
+            # multiply, not np.where: a masked negative gradient stays -0.0
+            g = g * (data > 0)
         # xn is recomputed from the input the graph holds, not saved
         xn = _by_channel(np.subtract, x.data, mean)
         _by_channel(np.multiply, xn, inv_std, out=xn)
@@ -776,7 +812,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         _by_channel(np.multiply, gx, inv_std, out=gx)
         x.accumulate_grad(gx)
 
-    return _result(data, (x, gamma, beta), backward, "batch_norm")
+    out = _result(data, (x, gamma, beta), backward, "batch_norm")
+    out.padded = padded
+    return out
 
 
 def cross_entropy(logits, labels):

@@ -72,3 +72,16 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_spread():
     # a wide gap, but only 8 of 10 pairs won
     change = [p + 20 for p in parent[:8]] + [p - 1 for p in parent[8:]]
     assert not bench_pairs.summarize(metric, runs("img_per_s", parent, change))["gain"]
+
+
+def test_pair_ratio_median_ignores_a_machine_speed_switch_between_pairs():
+    metric = {"name": "img_per_s", "unit": "img/s", "better": "higher", "bound": 0.25}
+    # the machine slows 1.7x after the fifth pair's parent run: the change's
+    # median drops far below the parent's, while within every other pair
+    # the change runs 1% faster
+    parent = [100, 101, 99, 100, 102, 60, 59, 61, 60, 58]
+    change = [101, 102, 100, 101, 60, 61, 60, 62, 61, 59]
+    row = bench_pairs.summarize(metric, runs("img_per_s", parent, change))
+    assert row["rel_change"] < -0.2 and row["change_wins"] == 9
+    assert 1.009 < row["pair_ratio_median"] < 1.02
+    assert row["pair_ratio_q1"] <= row["pair_ratio_median"] <= row["pair_ratio_q3"]

@@ -16,6 +16,7 @@ from cmpese.network import (
     spec_to_dict,
     stage_plan,
 )
+from cmpese import tensor as T
 from cmpese.tensor import Tensor, no_grad
 
 
@@ -38,7 +39,6 @@ def test_wrn_16_8_plan():
     assert stem == 16
     assert len(blocks) == 6
     assert [b.out_channels for b in blocks] == [128, 128, 256, 256, 512, 512]
-    assert [b.stride for b in blocks] == [1, 1, 2, 2, 2, 2][:6] or True
     assert [b.stride for b in blocks] == [1, 1, 2, 1, 2, 1]
     assert final == 512
     assert all(b.kind == "basic" for b in blocks)
@@ -209,6 +209,27 @@ def test_float64_and_float32_agree(mode):
         a = m32.forward(Tensor(x.astype(np.float32))).data
         b = m64.forward(Tensor(x)).data
     assert np.abs(a - b).max() < 1e-3
+
+
+@pytest.mark.parametrize("spec", [wrn(10, 1), preact(11, block="bottleneck")],
+                         ids=["basic", "bottleneck"])
+def test_preactivations_are_fused_into_the_convs_padded_input(spec, monkeypatch):
+    # each pre-activation is one batch_norm node, and each padded conv after
+    # the stem reads the buffer that batch_norm padded for it
+    model = build(spec, rng=np.random.default_rng(6))
+    conv, reads = T.conv2d, []
+
+    def spy(x, w, stride=1, padding=0):
+        reads.append((x.shape[-1], padding, x.padded is not None))
+        return conv(x, w, stride=stride, padding=padding)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    x = np.random.default_rng(8).standard_normal((2, 16, 16, 3)).astype(np.float32)
+    out = model.forward(Tensor(x))
+    assert "relu" not in {node.name for node in T._topo_order(out)}
+    padded = [fused for cin, padding, fused in reads[1:] if padding]
+    assert padded and all(padded)
+    assert reads[0] == (3, 1, False)
 
 
 def test_attention_units_one_per_block():

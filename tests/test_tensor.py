@@ -493,6 +493,114 @@ def test_batch_norm_graph_holds_only_its_output():
     assert held <= 1.2 * y.data.nbytes
 
 
+def preact_unit_params(rng, dtype, shape=(3, 6, 5, 4), cout=5):
+    """x, gamma, beta, running mean and variance, a 3x3 kernel and a 1x1
+    kernel for a pre-activation unit on ``shape``."""
+    c = shape[-1]
+    return dict(x=(0.5 + rng.standard_normal(shape)).astype(dtype),
+                gamma=(1.0 + 0.3 * rng.standard_normal(c)).astype(dtype),
+                beta=(0.2 * rng.standard_normal(c)).astype(dtype),
+                rm=(0.3 * rng.standard_normal(c)).astype(dtype),
+                rv=(0.5 + rng.random(c)).astype(dtype),
+                w=rng.standard_normal((3, 3, c, cout)).astype(dtype),
+                proj=rng.standard_normal((1, 1, c, cout)).astype(dtype))
+
+
+def run_preact_unit(p, training, fused, pad, seed):
+    """conv3x3(relu(bn(x))) and a 1x1 stride-2 projection of the same
+    activation, as a residual block wires them, then backward from seeded
+    gradients. Returns the outputs, running buffers and gradients."""
+    x, gamma, beta, w, proj = (Tensor(p[k].copy(), requires_grad=True)
+                               for k in ("x", "gamma", "beta", "w", "proj"))
+    rm, rv = Tensor(p["rm"].copy()), Tensor(p["rv"].copy())
+    if fused:
+        t = T.batch_norm(x, gamma, beta, rm, rv, training, relu=True, pad=pad)
+    else:
+        t = T.relu(T.batch_norm(x, gamma, beta, rm, rv, training))
+    y = T.conv2d(t, w, padding=1)
+    s = T.conv2d(t, proj, stride=2)
+    rng = np.random.default_rng(seed)
+    gy = T.mul(y, Tensor(rng.standard_normal(y.shape).astype(y.dtype)))
+    gs = T.mul(s, Tensor(rng.standard_normal(s.shape).astype(s.dtype)))
+    T.add(scalarize(gy), scalarize(gs)).backward()
+    return [y.data, s.data, rm.data, rv.data, x.grad, gamma.grad, beta.grad, w.grad, proj.grad]
+
+
+@pytest.mark.parametrize("conv_path", ["flat", "fallback"], indirect=True)
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_preact_unit_is_bitwise_the_unfused_one(dtype, training, pad, conv_path):
+    p = preact_unit_params(np.random.default_rng(7), dtype)
+    want = run_preact_unit(p, training, fused=False, pad=0, seed=3)
+    got = run_preact_unit(p, training, fused=True, pad=pad, seed=3)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()    # tells -0.0 from 0.0, unlike array_equal
+
+
+def test_fused_batch_norm_writes_into_a_zero_bordered_buffer():
+    p = preact_unit_params(np.random.default_rng(8), np.float32)
+    t = T.batch_norm(Tensor(p["x"]), Tensor(p["gamma"]), Tensor(p["beta"]),
+                     Tensor(p["rm"]), Tensor(p["rv"]), True, relu=True, pad=2)
+    n, h, w, c = p["x"].shape
+    assert t.padded.shape == (n, h + 4, w + 4, c)
+    assert np.shares_memory(t.data, t.padded)
+    assert np.array_equal(t.padded[:, 2:-2, 2:-2], t.data)
+    border = t.padded.copy()
+    border[:, 2:-2, 2:-2] = 0
+    assert not border.any()
+    assert t.data.min() == 0 and t.data.max() > 0
+    # only the padded output carries a buffer
+    assert T.batch_norm(Tensor(p["x"]), Tensor(p["gamma"]), Tensor(p["beta"]),
+                        Tensor(p["rm"]), Tensor(p["rv"]), True, relu=True).padded is None
+    with pytest.raises(ShapeError, match="pad"):
+        T.batch_norm(Tensor(p["x"]), Tensor(p["gamma"]), Tensor(p["beta"]),
+                     Tensor(p["rm"]), Tensor(p["rv"]), True, pad=1)
+
+
+def test_conv2d_copies_when_the_padded_buffer_does_not_match():
+    p = preact_unit_params(np.random.default_rng(9), np.float64)
+    w5 = Tensor(np.random.default_rng(10).standard_normal((5, 5, 4, 2)))
+    t = T.batch_norm(Tensor(p["x"]), Tensor(p["gamma"]), Tensor(p["beta"]),
+                     Tensor(p["rm"]), Tensor(p["rv"]), True, relu=True, pad=1)
+    for kernel, padding in ((w5, 2), (Tensor(p["w"]), 0)):
+        got = T.conv2d(t, kernel, padding=padding).data
+        want = T.conv2d(Tensor(t.data.copy()), kernel, padding=padding).data
+        assert np.array_equal(got, want)
+
+
+def test_conv2d_zero_pads_an_interior_slice_of_a_caller_array():
+    # a caller's array with a non-zero border: its interior view must be
+    # padded with zeros, not read through into the border
+    rng = np.random.default_rng(11)
+    whole = 5.0 + rng.random((2, 7, 6, 3))
+    x = Tensor(whole[:, 1:-1, 1:-1])
+    w = Tensor(rng.standard_normal((3, 3, 3, 2)))
+    got = T.conv2d(x, w, padding=1).data
+    assert np.array_equal(got, T.conv2d(Tensor(x.data.copy()), w, padding=1).data)
+    np.testing.assert_allclose(got, conv2d_loops(x.data, w.data, padding=1), rtol=1e-10)
+
+
+def test_preact_unit_graph_holds_one_padded_activation():
+    # bn -> relu -> conv as separate ops held the BN output, the ReLU output,
+    # the conv's padded copy and its output: 4.13x the input beyond it
+    x = Tensor(RNG.standard_normal((64, 32, 32, 32)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(32, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    rm, rv = Tensor(np.zeros(32, dtype=np.float32)), Tensor(np.ones(32, dtype=np.float32))
+    w = Tensor(RNG.standard_normal((3, 3, 32, 32)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = T.conv2d(T.batch_norm(x, gamma, beta, rm, rv, training=True, relu=True, pad=1),
+                     w, padding=1)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held <= 2.3 * x.data.nbytes
+
+
 def test_pool_and_channel_scale_are_traced_primitive_nodes():
     # the benchmark's traced run wraps the primitive ops; these two
     # composites must keep returning primitive nodes so their time stays in
@@ -713,6 +821,17 @@ def test_grad_batch_norm_training_mode():
         return scalarize(T.mul(out, out))
     fd_case(lambda rng: {"x": leaf(rng, (4, 2, 2, 3)), "g": leaf(rng, (3,), 0.5),
                          "b": leaf(rng, (3,), 0.5)}, fn)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_grad_fused_batch_norm_relu_conv(training, flat_conv):
+    def fn(p):
+        rm, rv = Tensor(np.zeros(3)), Tensor(np.ones(3))
+        t = T.batch_norm(p["x"], p["g"], p["b"], rm, rv, training, relu=True, pad=1)
+        y = T.conv2d(t, p["w"], padding=1)
+        return scalarize(T.mul(y, y))
+    fd_case(lambda rng: {"x": leaf(rng, (2, 3, 4, 3)), "g": leaf(rng, (3,), 0.5),
+                         "b": leaf(rng, (3,), 0.5), "w": leaf(rng, (3, 3, 3, 2))}, fn)
 
 
 def test_grad_channel_scale_and_pool():
