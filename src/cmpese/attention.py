@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_int
 from .layers import BatchNorm2d, Linear, Module
 
 
@@ -69,8 +69,10 @@ class AttentionConfig:
 
     def __post_init__(self):
         self.mode = parse_mode(self.mode)
-        if self.t < 1:
-            raise ConfigError(f"reduction ratio must be positive, got {self.t}")
+        require_int("t", self.t, 1)
+        for key in ("fold_n", "fold_m"):
+            if getattr(self, key) is not None:
+                require_int(key, getattr(self, key), 1)
         if self.mode is not AttentionMode.FOLDED_3X3 and (
                 self.fold_n is not None or self.fold_m is not None):
             raise ConfigError(
@@ -155,8 +157,9 @@ def unfold_map(v, n, m):
 
 
 def reweight_map(before, s, layout):
-    """Simulated re-weighting of an inner map: residual entries scale by s,
-    identity entries are untouched."""
+    """The inner map of the re-weighted block: residual entries scale by s,
+    identity entries are untouched. Global average pooling is linear, so
+    s * GAP(u_r) is the squeeze of the scaled branch s * u_r."""
     after = np.array(before, copy=True)
     if layout == "stacked":
         after[:, 0, :] = before[:, 0, :] * s
@@ -199,8 +202,12 @@ class ExcitationUnit(Module):
     """
 
     mode = None
-    recording = False   # diagnostics capture; see diagnostics.capture_trace
-    last_trace = None
+    # What the last ``excite`` computed, read by diagnostics.capture_trace:
+    # s (N, C) and the inner map it scanned (None without one). These are the
+    # forward pass's own arrays, not copies. No op writes into another op's
+    # output, and each call rebinds them, so arrays read earlier stay valid.
+    last_s = None
+    last_map = None
 
     def __init__(self, channels, t=16, n_kernels=None, fold_n=None, fold_m=None,
                  use_bn=True, rng=None, dtype=np.float32):
@@ -264,17 +271,9 @@ class ExcitationUnit(Module):
         else:
             z = self.expand(hidden[0])
         s = T.sigmoid(z)
-        self._record(s, vmap)
+        self.last_s = s.data
+        self.last_map = None if vmap is None else vmap.data
         return s
-
-    def _record(self, s, vmap):
-        if not self.recording:
-            return
-        s = np.array(s.data, copy=True)
-        before = None if vmap is None else np.array(vmap.data, copy=True)
-        after = None if vmap is None else reweight_map(before, s, self.spec.layout)
-        self.last_trace = {"mode": self.mode.value, "s": s, "layout": self.spec.layout,
-                           "before": before, "after": after}
 
 
 class SqueezeExcite(ExcitationUnit):

@@ -1,10 +1,11 @@
 """Attention diagnostics: excitation traces, per-block statistics, and
 inner-image exports.
 
-Capture runs on a frozen model in eval mode. For the pair-view and folded
-modes each trace also carries the inner map before re-weighting and the
-simulated map after it (residual entries scaled by the excitation, identity
-entries untouched).
+Capture runs one forward pass of a frozen model in eval mode and reads the
+excitation each unit computed in it. For the pair-view and folded modes
+each trace also carries the inner map the unit scanned (before
+re-weighting) and that map after re-weighting (residual entries scaled by
+the excitation, identity entries untouched).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import reweight_map
 from .errors import ConfigError
 from .tensor import Tensor, no_grad
 
@@ -36,7 +38,7 @@ class AttentionTrace:
 
 
 def capture_trace(model, probe):
-    """Feed a probe batch through the model and record every excitation.
+    """Feed a probe batch through the model and read every unit's excitation.
 
     probe: (N, H, W, 3) array. The model must contain attention units
     (mode 'none' has nothing to trace).
@@ -47,27 +49,15 @@ def capture_trace(model, probe):
             "model was built with attention mode 'none'; there are no "
             "excitation vectors to trace")
     model.eval()
-    for u in units:
-        if u is not None:
-            u.recording = True
-            u.last_trace = None
-    try:
-        with no_grad():
-            model.forward(Tensor(np.asarray(probe, dtype=np.float32)))
-    finally:
-        for u in units:
-            if u is not None:
-                u.recording = False
+    with no_grad():
+        model.forward(Tensor(np.asarray(probe, dtype=np.float32)))
     blocks = []
     for i, u in enumerate(units):
-        if u is None or u.last_trace is None:
+        if u is None:
             continue
-        t = u.last_trace
-        blocks.append(BlockTrace(
-            index=i, channels=t["s"].shape[1], mode=t["mode"], s=t["s"],
-            layout=t["layout"], before=t["before"], after=t["after"],
-        ))
-        u.last_trace = None
+        s, before, layout = u.last_s, u.last_map, u.spec.layout
+        after = None if before is None else reweight_map(before, s, layout)
+        blocks.append(BlockTrace(i, s.shape[1], u.mode.value, s, layout, before, after))
     return AttentionTrace(blocks=blocks, sample_count=probe.shape[0])
 
 

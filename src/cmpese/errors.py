@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class CmpeSeError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -22,6 +24,13 @@ class ShapeError(ValueError, CmpeSeError):
 
 class ConfigError(ValueError, CmpeSeError):
     """A configuration violates one of its stated constraints."""
+
+
+def require_int(key, value, least):
+    """Refuse a setting that is not an integer of at least ``least``; a bool
+    is refused too, although Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
 
 
 class DataFormatError(ValueError, CmpeSeError):

@@ -27,7 +27,7 @@ from .attention import (
     parse_mode,
     recalibrate_and_add,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_int
 from .layers import BatchNorm2d, Conv2d, Linear, Module
 
 
@@ -54,7 +54,10 @@ class NetworkSpec:
     num_classes: int = 10
     block: str = "auto"               # "basic" | "bottleneck" | "auto"
     attention: AttentionConfig = field(default_factory=AttentionConfig)
-    input_size: int = 32              # informational; the net is size-agnostic
+
+    def __post_init__(self):
+        for key in ("depth", "widen_factor", "num_classes"):
+            require_int(key, getattr(self, key), 1)
 
 
 def resolve_block_kind(spec):
@@ -296,15 +299,15 @@ def spec_from_dict(d):
         raise ConfigError("network description requires family and depth")
     att = AttentionConfig(
         mode=parse_mode(att_raw.get("mode", "none")),
-        t=int(att_raw.get("t", 16)),
+        t=att_raw.get("t", 16),
         fold_n=att_raw.get("fold_n"),
         fold_m=att_raw.get("fold_m"),
     )
     return NetworkSpec(
         family=str(d["family"]),
-        depth=int(d["depth"]),
-        widen_factor=int(d.get("widen_factor", 1)),
-        num_classes=int(d.get("num_classes", 10)),
+        depth=d["depth"],
+        widen_factor=d.get("widen_factor", 1),
+        num_classes=d.get("num_classes", 10),
         block=str(d.get("block", "auto")),
         attention=att,
     )

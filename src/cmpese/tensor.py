@@ -182,9 +182,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def zero_grad(self):
         self.grad = None
 
@@ -238,17 +235,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # light operator sugar used by the training code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _topo_order(root):
@@ -622,7 +608,6 @@ def conv2d(x, w, stride=1, padding=0):
         else:
             xp = np.zeros(shape, dtype=x.dtype)
             xp[:, padding : padding + h, padding : padding + wd, :] = x.data
-    pointwise = kh == kw == 1 and stride == 1
     w_flat = np.ascontiguousarray(w.data).reshape(kh * kw * cin, cout)
     dtype = np.result_type(xp, w_flat)
     sn, sh, sw, sc = xp.strides
@@ -633,16 +618,13 @@ def conv2d(x, w, stride=1, padding=0):
         writeable=False,
     )
     hp, wp = xp.shape[1:3]
-    flat = (_BLAS_GEMM is not None and stride == 1 and not pointwise and cin > 1
+    flat = (_BLAS_GEMM is not None and stride == 1 and kh * kw > 1 and cin > 1
             and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
     kernel = w_flat.reshape(w.shape)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
 
     def blocks():
         """(output rows, im2col block) pairs covering the batch in order."""
-        if pointwise:  # the input is its own im2col matrix
-            yield slice(None), xp.reshape(n * ho * wo, cin)
-            return
         step = max(1, _SLICE_ROWS // (ho * wo))
         for b in range(0, n, step):
             e = min(b + step, n)
@@ -676,9 +658,7 @@ def conv2d(x, w, stride=1, padding=0):
                 np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
             w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad or x._parents:
-            if pointwise:
-                gxp = (g_flat @ w_flat.T).reshape(xp.shape)
-            elif flat and min(ho, wo) >= _FLAT_DX_MIN:
+            if flat and min(ho, wo) >= _FLAT_DX_MIN:
                 # g sits in the top-left corner of a zero grid, so grid row r
                 # holds the gradient of the output that tap (i, j) computed
                 # from padded row r + i*wp + j, and every other row is zero
@@ -833,9 +813,3 @@ def cross_entropy(logits, labels):
         logits.accumulate_grad(g * probs / z.dtype.type(n))
 
     return _result(data, (logits,), backward, "cross_entropy")
-
-
-def assert_finite(t, name=None):
-    if not np.all(np.isfinite(t.data)):
-        raise NonFiniteError("non-finite values", name or t.name)
-    return t

@@ -18,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import MixupConfig, augment_batch, iterate_minibatches, mixup_batch
-from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged
+from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged, \
+    require_int
 from .network import spec_to_dict
 from .tensor import Tensor, no_grad
 
@@ -41,11 +42,7 @@ class TrainConfig:
     def __post_init__(self):
         for key, least in (("batch_size", 1), ("eval_batch_size", 1),
                            ("epochs", 0), ("checkpoint_every", 0)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
-                raise ConfigError(f"{key} must be an integer of at least {least}, "
-                                  f"got {value!r}")
+            require_int(key, getattr(self, key), least)
         if self.total_epochs() < 1:
             raise ConfigError("epochs plus mixup tail_epochs must be at least 1, got "
                               f"{self.total_epochs()}")

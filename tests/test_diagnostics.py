@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cmpese.attention import AttentionConfig, reweight_map
+from cmpese.attention import MODE_NAMES, AttentionConfig, fold_map, reweight_map, \
+    stack_pair_view
 from cmpese.diagnostics import (
     AttentionTrace,
     BlockTrace,
@@ -16,6 +17,7 @@ from cmpese.diagnostics import (
 )
 from cmpese.errors import ConfigError
 from cmpese.network import NetworkSpec, build
+from cmpese.tensor import Tensor, no_grad
 
 import oracles
 
@@ -85,20 +87,58 @@ def test_sample_order_only_permutes_rows():
         np.testing.assert_array_equal(ba.s[perm], bb.s)
 
 
-def test_capture_leaves_recording_off():
-    model = small_model("pairview1x1")
-    capture_trace(model, probe_batch(n=2))
+def spy_on_excite(model):
+    """Record (squeezes, returned excitation) of every unit's excite call."""
+    calls = []
     for u in model.attention_units():
-        assert u.recording is False
-        assert u.last_trace is None
+        def spy(*squeezes, excite=u.excite):
+            calls.append((squeezes, excite(*squeezes)))
+            return calls[-1][1]
+        u.excite = spy
+    return calls
 
 
-def test_plain_forward_does_not_record():
-    from cmpese.tensor import Tensor, no_grad
+def test_plain_forward_binds_the_returned_excitation():
     model = small_model("pairview2x1")
+    calls = spy_on_excite(model)
     with no_grad():
         model.forward(Tensor(probe_batch(n=2)))
-    assert all(u.last_trace is None for u in model.attention_units())
+    assert len(calls) == 3
+    for u, (_, s) in zip(model.attention_units(), calls):
+        assert u.last_s is s.data
+        assert u.last_map.shape == (2, 2, u.channels)
+
+
+@pytest.mark.parametrize("mode", ["pairview2x1", "folded3x3"])
+def test_trace_survives_a_later_forward(mode):
+    model = small_model(mode)
+    trace = capture_trace(model, probe_batch(n=2, seed=0))
+    kept = [(b.s.copy(), b.before.copy(), b.after.copy()) for b in trace.blocks]
+    other = capture_trace(model, probe_batch(n=2, seed=1))
+    for b, (s, before, after), o in zip(trace.blocks, kept, other.blocks):
+        assert not np.array_equal(o.s, s)
+        np.testing.assert_array_equal(b.s, s)
+        np.testing.assert_array_equal(b.before, before)
+        np.testing.assert_array_equal(b.after, after)
+
+
+@pytest.mark.parametrize("mode", [m for m in MODE_NAMES if m != "none"])
+def test_capture_matches_an_independent_eval_forward(mode):
+    model = small_model(mode)
+    probe = probe_batch(n=3)
+    trace = capture_trace(model, probe)
+    calls = spy_on_excite(model)
+    with no_grad():
+        model.forward(Tensor(probe))
+    for b, u, ((u_hat, x_hat), s) in zip(trace.blocks, model.attention_units(), calls):
+        assert b.s.tobytes() == s.data.tobytes()
+        if b.layout is None:
+            assert b.before is None and b.after is None
+            continue
+        want = stack_pair_view(u_hat, x_hat)
+        if b.layout == "folded":
+            want = fold_map(want, u.fold_n, u.fold_m)
+        assert b.before.tobytes() == want.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

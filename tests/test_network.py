@@ -100,6 +100,24 @@ def test_spec_refuses_fold_outside_folded_mode():
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("attention", "fold_n", 0),
+    ("attention", "fold_n", "20"),
+    ("attention", "fold_m", -4),
+    ("attention", "fold_m", True),
+    ("attention", "t", "abc"),
+    ("attention", "t", 2.9),
+    ("network", "depth", 16.0),
+    ("network", "widen_factor", "2"),
+    ("network", "num_classes", 0),
+])
+def test_spec_refuses_bad_numeric_keys(where, key, value):
+    d = spec_to_dict(wrn(16, 2, mode="folded3x3"))
+    (d["attention"] if where == "attention" else d)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        spec_from_dict(d)
+
+
 def test_invalid_depths_rejected():
     with pytest.raises(ConfigError):
         stage_plan(wrn(17, 8))           # (17-4) % 6 != 0
