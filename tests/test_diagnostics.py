@@ -130,6 +130,7 @@ def test_capture_matches_an_independent_eval_forward(mode):
     calls = spy_on_excite(model)
     with no_grad():
         model.forward(Tensor(probe))
+    assert len(calls) == len(trace.blocks) == 3
     for b, u, ((u_hat, x_hat), s) in zip(trace.blocks, model.attention_units(), calls):
         assert b.s.tobytes() == s.data.tobytes()
         if b.layout is None:
