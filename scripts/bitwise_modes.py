@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a sha256 per attention mode of a short seeded training run.
+"""Print two sha256 digests per attention mode of a short seeded training run.
 
 Usage:
     python scripts/bitwise_modes.py <src>
@@ -8,9 +8,12 @@ Usage:
 ``src/`` of a checkout. Each mode trains a WRN-10-1 (t=4) for 3 epochs on 96
 synthetic 16x16 images at batch 32, with augmentation and mixup (the last
 epoch plain), under an injected clock and inside a temporary directory. The
-digest covers the final state dict, the bytes of ``metrics.csv`` and the
-per-epoch history, so two checkouts that print the same lines trained
-bitwise identically:
+first digest covers the final state dict, the bytes of ``metrics.csv`` and
+the per-epoch history. The second covers the trained model's eval-mode
+logits on a fixed probe batch of 32 held-out images, so an inference-only
+change shows even where it leaves the rounded error rates alone. Two
+checkouts that print the same lines trained and evaluate bitwise
+identically:
 
     diff <(python scripts/bitwise_modes.py ../parent/src) \\
          <(python scripts/bitwise_modes.py src)
@@ -28,6 +31,7 @@ def digest(mode, out_dir):
     from cmpese.attention import AttentionConfig
     from cmpese.data import MixupConfig, synth_dataset
     from cmpese.network import NetworkSpec, build
+    from cmpese.tensor import Tensor, no_grad
     from cmpese.train import TrainConfig, train
 
     data = synth_dataset(class_count=4, n_per_class=24, seed=7)
@@ -50,7 +54,11 @@ def digest(mode, out_dir):
     with open(os.path.join(out_dir, "metrics.csv"), "rb") as f:
         h.update(f.read())
     h.update(repr(history).encode())
-    return h.hexdigest()
+    probe = synth_dataset(class_count=4, n_per_class=8, seed=29, split="test").images
+    model.eval()
+    with no_grad():
+        logits = model.forward(Tensor(probe)).data
+    return h.hexdigest(), hashlib.sha256(logits.tobytes()).hexdigest()
 
 
 def main():
@@ -61,7 +69,7 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         for mode in MODE_NAMES:
-            print(mode, digest(mode, os.path.join(tmp, mode)), flush=True)
+            print(mode, *digest(mode, os.path.join(tmp, mode)), flush=True)
 
 
 if __name__ == "__main__":

@@ -336,4 +336,4 @@ def recalibrate_and_add(u_r, x_id, unit):
     u_hat = T.global_avg_pool(u_r)
     x_hat = T.global_avg_pool(x_id)
     s = unit.excite(u_hat, x_hat)
-    return T.add(T.channel_scale(s, u_r), x_id)
+    return T.channel_scale_add(s, u_r, x_id)

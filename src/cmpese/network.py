@@ -164,9 +164,13 @@ class ResidualBlock(Module):
         t = self.bn1(x, relu=True, pad=self.conv1.padding)
         x_id = x if self.proj is None else self.proj(t)
         h = self.conv1(t)
-        h = self.conv2(self.bn2(h, relu=True, pad=self.conv2.padding))
+        # without a graph, each activation is freed before the next is built
+        del t
+        h = self.bn2(h, relu=True, pad=self.conv2.padding)
+        h = self.conv2(h)
         if self.spec.kind == "bottleneck":
-            h = self.conv3(self.bn3(h, relu=True, pad=self.conv3.padding))
+            h = self.bn3(h, relu=True, pad=self.conv3.padding)
+            h = self.conv3(h)
         return h, x_id
 
     def forward(self, x):

@@ -312,8 +312,12 @@ def _by_channel(op, a, v, out=None):
     numpy broadcasts ``v`` one C-long inner loop per row of ``a``. This runs
     the same elementwise arithmetic, so the same bits, over rows of k whole
     channel vectors (k*C <= _WIDE_ROW) against ``v`` tiled k times: far fewer
-    inner loops. ``out`` must be C-contiguous, so that its view is written.
+    inner loops. ``out`` must be C-contiguous, so that its view is written:
+    any other layout raises ValueError, since its reshape would be a copy.
     """
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError(f"_by_channel writes only a C-contiguous out, got shape "
+                         f"{out.shape} with strides {out.strides}")
     c = a.shape[-1]
     k = math.gcd(a.size // c, max(1, _WIDE_ROW // c))
     wide = (a.size // (k * c), k * c)
@@ -695,19 +699,35 @@ def global_avg_pool(x):
     return mean_over(x, (1, 2))
 
 
-def channel_scale(s, u):
-    """Scale every spatial position of channel c by s[:, c].
+def channel_scale_add(s, u, x):
+    """``u * s[:, None, None, :] + x`` as one op: s (N, C); u, x (N, H, W, C).
 
-    s: (N, C); u: (N, H, W, C).
+    The block tail of a recalibrated residual: one output array, and no
+    product array kept for backward, which reads ``u`` and ``s``. Its bits
+    and gradients are those of ``add(mul(reshape(s), u), x)``; the parents
+    are ordered (s, u, x) so that a tensor reached through several of them
+    sums its gradient terms in that composite's order.
     """
-    if s.shape[-1] != u.shape[-1]:
-        raise ShapeError(
-            "channel_scale",
-            f"scale length {s.shape[-1]} != channel count {u.shape[-1]}",
-            axis=3,
-        )
-    s4 = reshape(s, (s.shape[0], 1, 1, s.shape[1]))
-    return mul(s4, u)
+    if s.shape != (u.shape[0], u.shape[-1]):
+        raise ShapeError("channel_scale_add",
+                         f"scale {s.shape} does not match (batch, channels) of {u.shape}",
+                         axis=3)
+    if x.shape != u.shape:
+        raise ShapeError("channel_scale_add", f"addend {x.shape} does not match {u.shape}")
+    n, c = s.shape
+    s4 = s.data.reshape(n, 1, 1, c)
+    data = s4 * u.data
+    data += x.data
+
+    def backward(g):
+        if s.requires_grad or s._parents:
+            s.accumulate_grad(_sum_to(g, s4.shape, u.data).reshape(s.shape))
+        if u.requires_grad or u._parents:
+            u.accumulate_grad(g * s4)
+        if x.requires_grad or x._parents:
+            x.accumulate_grad(g)
+
+    return _result(data, (s, u, x), backward, "channel_scale_add")
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
@@ -725,11 +745,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     ``relu=True`` returns ``relu(batch_norm(x))`` as one op: the ReLU runs in
     place on the output, and backward masks the gradient with ``output > 0``
     before the batch-norm backward. ``pad=p > 0`` (with ``relu``, on a 4-D
-    input) also writes that output into the interior of a zeroed (N, H+2p,
-    W+2p, C) array: the result's ``data`` is the interior view and its
-    ``padded`` the whole array, which a following ``conv2d`` with padding p
-    uses as its padded input. A pre-activation unit ``conv(relu(bn(x)))``
-    then keeps one copy of its activation instead of three.
+    input) builds that output in the interior of a zeroed (N, H+2p, W+2p, C)
+    array: the result's ``data`` is the interior view and its ``padded`` the
+    whole array, which a following ``conv2d`` with padding p uses as its
+    padded input. A pre-activation unit ``conv(relu(bn(x)))`` then keeps one
+    copy of its activation instead of three, and builds no other.
     """
     c = x.shape[-1]
     if gamma.shape != (c,):
@@ -742,29 +762,37 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     axes = tuple(range(x.ndim - 1))
     dt = x.data.dtype.type
     eps = dt(eps)
+    # backward needs the mean used here
+    mean = _mean_leading(x.data, axes) if training else running_mean.data.copy()
+    if pad:
+        n, h, wd = x.shape[:3]
+        buf = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.result_type(x.data, mean))
+        data = buf[:, pad : pad + h, pad : pad + wd]
+        # x - mean straight into the interior, one image row (W*C values) at a time
+        rows = buf.reshape(n, h + 2 * pad, -1)[:, pad : pad + h, pad * c : (pad + wd) * c]
+        np.subtract(x.data.reshape(n, h, wd * c), np.tile(mean, wd), out=rows)
+    else:
+        buf = data = _by_channel(np.subtract, x.data, mean)
     if training:
-        mean = _mean_leading(x.data, axes)
-        data = _by_channel(np.subtract, x.data, mean)
         var = _mean_leading(data, axes, data)   # bitwise x.data.var(axis=axes)
         m = dt(momentum)
         running_mean.data[...] = m * running_mean.data + (dt(1) - m) * mean
         running_var.data[...] = m * running_var.data + (dt(1) - m) * var
     else:
-        mean = running_mean.data.copy()     # backward needs the mean used here
-        data = _by_channel(np.subtract, x.data, mean)
         var = running_var.data
     inv_std = dt(1) / np.sqrt(var + eps)
-    # the output is built in place: xn = (x - mean) * inv_std, then xn * gamma + beta
-    _by_channel(np.multiply, data, inv_std, out=data)
-    _by_channel(np.multiply, data, gamma.data, out=data)
-    _by_channel(np.add, data, beta.data, out=data)
-    padded = None
+    # in place over the whole buffer: xn = (x - mean) * inv_std, then
+    # xn * gamma + beta; wide rows of the whole buffer run faster than the
+    # interior's rows
+    _by_channel(np.multiply, buf, inv_std, out=buf)
+    _by_channel(np.multiply, buf, gamma.data, out=buf)
+    _by_channel(np.add, buf, beta.data, out=buf)
+    if relu:
+        np.maximum(buf, 0, out=buf)
     if pad:
-        n, h, wd = x.shape[:3]
-        padded = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=data.dtype)
-        data = np.maximum(data, 0, out=padded[:, pad : pad + h, pad : pad + wd])
-    elif relu:
-        np.maximum(data, 0, out=data)
+        # the shift set the border to max(beta, 0)
+        buf[:, :pad] = buf[:, -pad:] = 0
+        buf[:, :, :pad] = buf[:, :, -pad:] = 0
 
     def backward(g):
         if relu:
@@ -793,7 +821,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         x.accumulate_grad(gx)
 
     out = _result(data, (x, gamma, beta), backward, "batch_norm")
-    out.padded = padded
+    out.padded = buf if pad else None
     return out
 
 

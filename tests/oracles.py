@@ -119,6 +119,16 @@ def batch_norm_saving_xn(x, gamma, beta, running_mean, running_var, g, training,
     return out, grad_x, grad_gamma, grad_beta
 
 
+def channel_scale_add_composite(s, u, x, g):
+    """The block tail as the composite ``add(mul(reshape(s), u), x)`` with
+    its backward for the output gradient ``g``, in plain numpy expressions:
+    s (N, C); u, x (N, H, W, C). Returns (out, grad_s, grad_u, grad_x)."""
+    s4 = s.reshape(s.shape[0], 1, 1, s.shape[1])
+    out = s4 * u + x
+    grad_s = (g * u).sum(axis=(1, 2))
+    return out, grad_s, g * s4, g
+
+
 def mean_var_two_pass(s):
     """Population mean/variance, re-derived elementwise."""
     total = 0.0

@@ -1,6 +1,8 @@
 """Network construction: stage plans, parameter accounting, forward shape and
 numeric sanity, and config round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,44 @@ def test_preactivations_are_fused_into_the_convs_padded_input(spec, monkeypatch)
     padded = [fused for cin, padding, fused in reads[1:] if padding]
     assert padded and all(padded)
     assert reads[0] == (3, 1, False)
+
+
+@pytest.mark.parametrize("mode", ["se", "doublefc", "pairview2x1", "pairview1x1", "folded3x3"])
+def test_block_tail_is_one_node_on_the_excitation(mode):
+    # s * u_r + x_id is one node whose first parent is the excitation
+    # itself: no reshape or product node lies between them
+    model = build(wrn(10, 1, mode=mode, t=4), rng=np.random.default_rng(9))
+    blk = model.blocks[0]
+    assert blk.proj is None
+    x = Tensor(np.random.default_rng(10).standard_normal((2, 8, 8, 16)), requires_grad=True)
+    out = blk(x)
+    assert out.name == "channel_scale_add"
+    s, u_r, x_id = out._parents
+    assert s.data is blk.attn.last_s
+    assert u_r.name == "conv2d" and x_id is x
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_identity_block_forward_peak_without_a_graph():
+    # WRN-16-2 stage-1 identity block at batch 64, as evaluation runs it:
+    # beyond its input it peaks at one padded activation, one conv output and
+    # the conv's slice buffer (2.38x the input). With batch norm's temporary,
+    # the product array of the tail and no early frees it peaked at 4.51x
+    model = build(wrn(16, 2, mode="folded3x3", t=4), rng=np.random.default_rng(0))
+    model.eval()
+    blk = model.blocks[1]
+    assert blk.proj is None and blk.spec.in_channels == 32
+    x = Tensor(np.random.default_rng(1).standard_normal((64, 32, 32, 32), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            y = blk(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert peak - before <= 2.7 * x.data.nbytes
 
 
 def test_attention_units_one_per_block():

@@ -16,7 +16,8 @@ from cmpese.gradcheck import gradcheck, leaf
 from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
-from oracles import batch_norm_saving_xn, conv2d_dx_shift_gemm, conv2d_loops
+from oracles import (batch_norm_saving_xn, channel_scale_add_composite, conv2d_dx_shift_gemm,
+                     conv2d_loops)
 
 RNG = np.random.default_rng(20240811)
 
@@ -445,6 +446,18 @@ def test_by_channel_is_bitwise_the_broadcast_op(op):
         assert np.array_equal(a, want)
 
 
+def test_by_channel_refuses_an_out_it_cannot_write():
+    # an interior view of a padded array reshapes to a copy, so the result
+    # would land in the copy and leave the view unchanged
+    padded = np.zeros((2, 6, 7, 4), dtype=np.float32)
+    interior = padded[:, 1:-1, 1:-1]
+    a = RNG.standard_normal(interior.shape).astype(np.float32)
+    v = np.ones(4, dtype=np.float32)
+    with pytest.raises(ValueError, match=r"C-contiguous out.*\(2, 4, 5, 4\).*strides"):
+        T._by_channel(np.add, a, v, out=interior)
+    assert not padded.any()
+
+
 BN_SHAPES = [(8, 5, 7, 16), (4, 6, 6, 3), (16, 4, 4, 128), (32, 2, 16, 1), (32, 1), (50, 32)]
 
 
@@ -539,6 +552,18 @@ def test_fused_preact_unit_is_bitwise_the_unfused_one(dtype, training, pad, conv
         assert a.tobytes() == b.tobytes()    # tells -0.0 from 0.0, unlike array_equal
 
 
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_preact_unit_is_bitwise_on_one_channel(dtype, training):
+    # one channel takes the reductions' ndarray.sum fallback, which sums
+    # pairwise: the statistics must not read the padded buffer's border
+    p = preact_unit_params(np.random.default_rng(17), dtype, shape=(4, 7, 9, 1))
+    want = run_preact_unit(p, training, fused=False, pad=0, seed=5)
+    got = run_preact_unit(p, training, fused=True, pad=1, seed=5)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_fused_batch_norm_writes_into_a_zero_bordered_buffer():
     p = preact_unit_params(np.random.default_rng(8), np.float32)
     t = T.batch_norm(Tensor(p["x"]), Tensor(p["gamma"]), Tensor(p["beta"]),
@@ -601,14 +626,82 @@ def test_preact_unit_graph_holds_one_padded_activation():
     assert held <= 2.3 * x.data.nbytes
 
 
-def test_pool_and_channel_scale_are_traced_primitive_nodes():
-    # the benchmark's traced run wraps the primitive ops; these two
-    # composites must keep returning primitive nodes so their time stays in
-    # the op spans
+@pytest.mark.parametrize("training", [True, False])
+def test_fused_batch_norm_builds_no_temporary(training):
+    # the output is built in its padded buffer; building it in a contiguous
+    # temporary first peaked at 2.13x the input beyond it
+    x = Tensor(RNG.standard_normal((64, 32, 32, 32)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(32, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+    rm, rv = Tensor(np.zeros(32, dtype=np.float32)), Tensor(np.ones(32, dtype=np.float32))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y = T.batch_norm(x, gamma, beta, rm, rv, training, relu=True, pad=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.padded.nbytes <= peak - before <= 1.3 * x.data.nbytes
+
+
+def test_pool_and_channel_scale_add_are_single_graph_nodes():
+    # the benchmark's traced run wraps the primitive ops: the pool must keep
+    # returning a primitive node so its time stays in the op spans. The block
+    # tail is one node of its own, with no product node under it
     u = Tensor(RNG.standard_normal((2, 3, 3, 4)), requires_grad=True)
+    x = Tensor(RNG.standard_normal((2, 3, 3, 4)), requires_grad=True)
     s = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
     assert T.global_avg_pool(u).name == "mean"
-    assert T.channel_scale(s, u).name == "mul"
+    out = T.channel_scale_add(s, u, x)
+    assert out.name == "channel_scale_add"
+    assert out._parents == (s, u, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_scale_add_is_bitwise_the_composite(dtype):
+    rng = np.random.default_rng(12)
+    n, h, w, c = 3, 5, 4, 6
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((n, c), (n, h, w, c), (n, h, w, c), (n, h, w, c))]
+    s, u, x = (Tensor(a.copy(), requires_grad=True) for a in arrays[:3])
+    out = T.channel_scale_add(s, u, x)
+    out.backward(arrays[3])
+    for got, ref in zip((out.data, s.grad, u.grad, x.grad), channel_scale_add_composite(*arrays)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_scale_add_sums_a_shared_input_as_the_composite_does(dtype):
+    # as in an identity block, the input reaches the tail three ways: as the
+    # addend, through the branch and through the excitation. Its gradient
+    # adds those three terms in the composite graph's order
+    rng = np.random.default_rng(13)
+    n, h, w, c = 4, 6, 5, 8
+    x0, w0, g = (rng.standard_normal(shape).astype(dtype)
+                 for shape in ((n, h, w, c), (c,), (n, h, w, c)))
+
+    def run(fused):
+        x, wt = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        u = T.relu(T.mul(x, wt))
+        s = T.sigmoid(T.global_avg_pool(T.mul(x, x)))
+        if fused:
+            out = T.channel_scale_add(s, u, x)
+        else:
+            out = T.add(T.mul(T.reshape(s, (n, 1, 1, c)), u), x)
+        out.backward(g)
+        return out.data, x.grad, wt.grad
+
+    for got, ref in zip(run(True), run(False)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_channel_scale_add_checks_shapes():
+    u = Tensor(np.zeros((2, 3, 3, 4)))
+    with pytest.raises(ShapeError, match="scale"):
+        T.channel_scale_add(Tensor(np.zeros((2, 3))), u, u)
+    with pytest.raises(ShapeError, match="addend"):
+        T.channel_scale_add(Tensor(np.zeros((2, 4))), u, Tensor(np.zeros((2, 3, 3, 5))))
 
 
 def test_no_grad_builds_no_graph():
@@ -834,11 +927,12 @@ def test_grad_fused_batch_norm_relu_conv(training, flat_conv):
                          "b": leaf(rng, (3,), 0.5), "w": leaf(rng, (3, 3, 3, 2))}, fn)
 
 
-def test_grad_channel_scale_and_pool():
+def test_grad_channel_scale_add_and_pool():
     def fn(p):
         s = T.sigmoid(p["s"])
-        return scalarize(T.global_avg_pool(T.channel_scale(s, p["u"])))
-    fd_case(lambda rng: {"s": leaf(rng, (2, 3)), "u": leaf(rng, (2, 4, 4, 3))}, fn)
+        return scalarize(T.global_avg_pool(T.channel_scale_add(s, p["u"], p["x"])))
+    fd_case(lambda rng: {"s": leaf(rng, (2, 3)), "u": leaf(rng, (2, 4, 4, 3)),
+                         "x": leaf(rng, (2, 4, 4, 3))}, fn)
 
 
 def test_grad_cross_entropy():
