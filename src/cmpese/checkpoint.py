@@ -111,7 +111,7 @@ def load_checkpoint(path):
     """Returns (model_state, velocity, meta).
 
     A sidecar that is not a JSON object holding ``epoch`` (an integer or
-    null), ``rng_state`` (an object or null) and ``network`` raises
+    null), ``rng_state`` and ``network`` (each an object or null) raises
     DataFormatError naming the sidecar."""
     arrays = load_tensors(path)
     sidecar = str(path) + ".json"
@@ -128,8 +128,10 @@ def load_checkpoint(path):
     epoch = meta["epoch"]
     if epoch is not None and (type(epoch) is not int or epoch < 0):
         raise DataFormatError(f"{sidecar}: epoch must be a non-negative integer, got {epoch!r}")
-    if not isinstance(meta["rng_state"], (dict, type(None))):
-        raise DataFormatError(f"{sidecar}: rng_state must be an object")
+    for key in ("rng_state", "network"):
+        if not isinstance(meta[key], (dict, type(None))):
+            raise DataFormatError(f"{sidecar}: {key} must be an object or null, "
+                                  f"got {meta[key]!r}")
     model_state = {k[len("model/"):]: v for k, v in arrays.items() if k.startswith("model/")}
     velocity = {k[len("velocity/"):]: v for k, v in arrays.items()
                 if k.startswith("velocity/")}

@@ -21,7 +21,7 @@ from .data import load_cifar_binary, load_dataset_npz, load_synth_manifest, \
     save_dataset_npz, synth_dataset
 from .diagnostics import ascii_heatmap, attention_stats, capture_trace, \
     export_inner_images, stats_to_csv
-from .errors import CmpeSeError
+from .errors import CmpeSeError, DataFormatError
 from .gradcheck import block_gradient_check
 from .network import build, param_count, reference_mparams, spec_from_dict
 from .train import evaluate, train
@@ -38,8 +38,8 @@ def _rebuild_model(ckpt_path):
     if not os.path.exists(ckpt_path):
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
     state, velocity, meta = load_checkpoint(ckpt_path)
-    if meta.get("network") is None:
-        raise CmpeSeError(f"{ckpt_path}: sidecar lacks a network description")
+    if meta["network"] is None:
+        raise DataFormatError(f"{ckpt_path}.json: sidecar holds no network description")
     spec = spec_from_dict(meta["network"])
     model = build(spec, rng=np.random.default_rng(0))
     model.load_state_dict(state)
@@ -130,16 +130,11 @@ def cmd_export_attention(args):
 
 def cmd_synth_data(args):
     manifest = load_synth_manifest(args.manifest)
-    seed = resolve_seed(int(manifest["seed"]))
-    ds = synth_dataset(
-        class_count=int(manifest["class_count"]),
-        n_per_class=int(manifest["n_per_class"]),
-        image_size=int(manifest.get("image_size", 16)),
-        seed=seed,
-    )
-    out = manifest.get("out") or os.path.splitext(args.manifest)[0] + ".npz"
+    out = manifest.pop("out", None) or os.path.splitext(args.manifest)[0] + ".npz"
+    manifest["seed"] = resolve_seed(manifest["seed"])
+    ds = synth_dataset(**manifest)
     save_dataset_npz(ds, out)
-    print(f"wrote {out}: {len(ds)} samples, {ds.class_count} classes, seed {seed}")
+    print(f"wrote {out}: {len(ds)} samples, {ds.class_count} classes, seed {manifest['seed']}")
     return 0
 
 

@@ -9,14 +9,16 @@ Layout:
       "out_dir": "runs/example"
     }
 
-Unknown keys are rejected at every level. The environment variable
-CMPESE_SEED, when set, overrides any configured seed.
+Unknown keys, and values of the wrong type, are rejected at every level;
+nothing is coerced. The environment variable CMPESE_SEED, when set,
+overrides any configured seed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 from .data import load_cifar_binary, load_dataset_npz, synth_dataset
 from .errors import ConfigError
@@ -45,6 +47,8 @@ def resolve_seed(seed):
 def load_experiment(path):
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - _EXP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -52,48 +56,58 @@ def load_experiment(path):
         raise ConfigError("config requires a 'network' section")
     spec = spec_from_dict(raw["network"])
     cfg = train_config_from_dict(raw.get("train", {}))
-    cfg.seed = resolve_seed(cfg.seed)
-    data = raw.get("data", {"kind": "synth", "class_count": spec.num_classes})
+    cfg = replace(cfg, seed=resolve_seed(cfg.seed))
+    data = raw.get("data", {"kind": "synth"})
     validate_data_section(data)
+    out_dir = raw.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a path string or null, got {out_dir!r}")
     return {
         "spec": spec,
         "train": cfg,
         "data": data,
-        "out_dir": raw.get("out_dir"),
+        "out_dir": out_dir,
     }
 
 
 def validate_data_section(data):
+    if not isinstance(data, dict):
+        raise ConfigError(f"data must be an object, got {data!r}")
     kind = data.get("kind")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(
-            f"unknown data kind {kind!r}; expected one of {', '.join(sorted(_DATA_KEYS))}")
+    kinds = sorted(_DATA_KEYS)    # a list: an unhashable kind is refused, not a TypeError
+    if kind not in kinds:
+        raise ConfigError(f"unknown data kind {kind!r}; expected one of {', '.join(kinds)}")
     unknown = sorted(set(data) - _DATA_KEYS[kind])
     if unknown:
         raise ConfigError(f"unknown data keys for kind {kind!r}: {', '.join(unknown)}")
 
 
 def materialize_data(data, num_classes):
-    """Build (train_dataset, eval_dataset_or_None) from a data section."""
+    """Build (train_dataset, eval_dataset_or_None) from a data section.
+
+    A dataset whose class_count is not the network's num_classes is refused:
+    fewer classes leave outputs untrained, more index past the logits."""
     kind = data["kind"]
-    if kind == "synth":
-        ds = synth_dataset(
-            class_count=int(data.get("class_count", num_classes)),
-            n_per_class=int(data.get("n_per_class", 100)),
-            image_size=int(data.get("image_size", 16)),
-            seed=resolve_seed(int(data.get("seed", 0))),
-        )
-        return ds, None
-    if kind == "npz":
-        train = load_dataset_npz(data["path"])
-        eval_ds = load_dataset_npz(data["eval_path"]) if "eval_path" in data else None
-        return train, eval_ds
-    classes = 10 if kind == "cifar10" else 100
-    norm = data.get("normalization", "meanstd")
-    train, stats = load_cifar_binary(data["train"], classes=classes,
-                                     normalization=norm, split="train")
     eval_ds = None
-    if "test" in data:
-        eval_ds, _ = load_cifar_binary(data["test"], classes=classes,
-                                       normalization=norm, stats=stats, split="test")
+    if kind == "synth":
+        args = {k: v for k, v in data.items() if k != "kind"}
+        args.setdefault("class_count", num_classes)
+        args["seed"] = resolve_seed(args.get("seed", 0))
+        train = synth_dataset(**args)
+    elif kind == "npz":
+        train = load_dataset_npz(data["path"])
+        if "eval_path" in data:
+            eval_ds = load_dataset_npz(data["eval_path"])
+    else:
+        classes = 10 if kind == "cifar10" else 100
+        norm = data.get("normalization", "meanstd")
+        train, stats = load_cifar_binary(data["train"], classes=classes,
+                                         normalization=norm, split="train")
+        if "test" in data:
+            eval_ds, _ = load_cifar_binary(data["test"], classes=classes,
+                                           normalization=norm, stats=stats, split="test")
+    for which, ds in (("train", train), ("eval", eval_ds)):
+        if ds is not None and ds.class_count != num_classes:
+            raise ConfigError(f"{which} data has class_count {ds.class_count}, but the "
+                              f"network's num_classes is {num_classes}")
     return train, eval_ds

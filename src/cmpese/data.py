@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, require_bool, require_int, require_number
 
 
 @dataclass
@@ -35,10 +35,11 @@ class MixupConfig:
     tail_epochs: int = 20     # plain-training epochs appended after mixup
 
     def __post_init__(self):
+        require_bool("mixup.enabled", self.enabled)
+        require_number("mixup.alpha", self.alpha)
+        require_int("mixup.tail_epochs", self.tail_epochs, 0)
         if self.enabled and self.alpha <= 0:
-            raise ConfigError(f"mixup alpha must be positive, got {self.alpha}")
-        if self.tail_epochs < 0:
-            raise ConfigError(f"mixup tail_epochs must not be negative, got {self.tail_epochs}")
+            raise ConfigError(f"mixup.alpha must be positive, got {self.alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,10 @@ def synth_dataset(class_count=2, n_per_class=100, image_size=16, seed=0,
     """Separable toy images: each class is a color-tinted Gaussian blob at a
     class-specific position over a class-frequency sinusoid, plus noise.
     Deterministic per seed."""
-    if class_count < 2 or class_count > len(_PALETTE):
+    for key, value, least in (("class_count", class_count, 2), ("n_per_class", n_per_class, 1),
+                              ("image_size", image_size, 1), ("seed", seed, 0)):
+        require_int(key, value, least)
+    if class_count > len(_PALETTE):
         raise ConfigError(f"class_count must be in [2, {len(_PALETTE)}], got {class_count}")
     rng = np.random.default_rng(seed)
     n = class_count * n_per_class
@@ -193,6 +197,8 @@ def load_synth_manifest(path):
     image_size and out (output path for the rendered dataset)."""
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object")
     known = {"class_count", "n_per_class", "seed", "image_size", "out"}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -210,9 +216,29 @@ def save_dataset_npz(dataset, path):
 
 
 def load_dataset_npz(path):
+    """Read a dataset that save_dataset_npz wrote. A missing key, images that
+    are not float32 of shape (N, H, W, 3), a class_count that is not a
+    positive integer, or labels that are not N integers in [0, class_count)
+    raise DataFormatError naming the file and the key."""
+    keys = ("images", "labels", "class_count", "split")
     with np.load(path, allow_pickle=False) as z:
-        return Dataset(z["images"], z["labels"], int(z["class_count"]),
-                       str(z["split"]))
+        missing = [k for k in keys if k not in z.files]
+        if missing:
+            raise DataFormatError(f"{path}: lacks {', '.join(missing)}")
+        images, labels, class_count, split = (z[k] for k in keys)
+    if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
+        raise DataFormatError(f"{path}: images must be float32 of shape (N, H, W, 3), "
+                              f"got {images.dtype} {images.shape}")
+    if class_count.ndim != 0 or class_count.dtype.kind not in "iu" or class_count < 1:
+        raise DataFormatError(f"{path}: class_count must be a positive integer, "
+                              f"got {class_count!r}")
+    if labels.dtype.kind not in "iu" or labels.shape != images.shape[:1]:
+        raise DataFormatError(f"{path}: labels must be {len(images)} integers, one per image, "
+                              f"got {labels.dtype} {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise DataFormatError(f"{path}: labels must lie in [0, {class_count}), got "
+                              f"[{labels.min()}, {labels.max()}]")
+    return Dataset(images, labels, int(class_count), str(split))
 
 
 def iterate_minibatches(images, labels, batch_size, rng=None, shuffle=True):

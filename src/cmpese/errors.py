@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-value checks
+that raise them."""
 
+import math
 import numbers
+from dataclasses import MISSING, fields, is_dataclass
 
 
 class CmpeSeError(Exception):
@@ -31,6 +34,46 @@ def require_int(key, value, least):
     is refused too, although Python counts it as one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{key} must be an integer of at least {least}, got {value!r}")
+
+
+def require_number(key, value):
+    """Refuse a setting that is not a finite real number; a bool or a numeric
+    string is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def require_bool(key, value):
+    """Refuse a setting that is not true or false; "false", 0 and 1 are refused."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
+def from_dict(cls, d, section):
+    """Build the dataclass ``cls`` from ``d``, the JSON object of config
+    section ``section``.
+
+    A non-object, an unknown key or a missing key without a default is
+    refused. An absent key takes the dataclass's default, and a field whose
+    default factory is itself a dataclass is built from its own sub-object
+    the same way. Every value check is the dataclass's own
+    (``__post_init__``); ``dataclasses.asdict`` is the inverse.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be an object, got {d!r}")
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(by_name))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
+    missing = [name for name, f in by_name.items() if name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{section} requires {', '.join(missing)}")
+    kwargs = {}
+    for key, value in d.items():
+        sub = by_name[key].default_factory
+        kwargs[key] = from_dict(sub, value, key) if is_dataclass(sub) else value
+    return cls(**kwargs)
 
 
 class DataFormatError(ValueError, CmpeSeError):

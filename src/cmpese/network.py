@@ -14,7 +14,7 @@ the branch by the excitation, then adds the shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .attention import (
     parse_mode,
     recalibrate_and_add,
 )
-from .errors import ConfigError, ShapeError, require_int
+from .errors import ConfigError, ShapeError, from_dict, require_int
 from .layers import BatchNorm2d, Conv2d, Linear, Module
 
 
@@ -56,6 +56,10 @@ class NetworkSpec:
     attention: AttentionConfig = field(default_factory=AttentionConfig)
 
     def __post_init__(self):
+        if self.family not in ("preact-resnet", "wrn"):
+            raise ConfigError(f"unknown family {self.family!r}; expected preact-resnet or wrn")
+        if self.block not in ("basic", "bottleneck", "auto"):
+            raise ConfigError(f"unknown block kind {self.block!r}")
         for key in ("depth", "widen_factor", "num_classes"):
             require_int(key, getattr(self, key), 1)
 
@@ -69,10 +73,8 @@ def resolve_block_kind(spec):
     """
     if spec.family == "wrn":
         return "basic"
-    if spec.block in ("basic", "bottleneck"):
-        return spec.block
     if spec.block != "auto":
-        raise ConfigError(f"unknown block kind {spec.block!r}")
+        return spec.block
     d = spec.depth - 2
     if d % 9 == 0 and spec.depth >= 164:
         return "bottleneck"
@@ -99,7 +101,7 @@ def stage_plan(spec):
         k = spec.widen_factor
         widths = (16 * k, 32 * k, 64 * k)
         kind = "basic"
-    elif spec.family == "preact-resnet":
+    else:
         kind = resolve_block_kind(spec)
         per = 6 if kind == "basic" else 9
         if (spec.depth - 2) % per != 0 or spec.depth <= 2:
@@ -108,8 +110,6 @@ def stage_plan(spec):
             )
         u = (spec.depth - 2) // per
         widths = (16, 32, 64) if kind == "basic" else (64, 128, 256)
-    else:
-        raise ConfigError(f"unknown family {spec.family!r}; expected preact-resnet or wrn")
 
     stem = 16
     blocks = []
@@ -269,49 +269,9 @@ def reference_mparams(spec):
 # NetworkSpec serialization
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = {"family", "depth", "widen_factor", "num_classes", "block", "attention"}
-_ATT_KEYS = {"mode", "t", "fold_n", "fold_m"}
-
-
 def spec_to_dict(spec):
-    att = {"mode": parse_mode(spec.attention.mode).value, "t": spec.attention.t}
-    if spec.attention.fold_n is not None:
-        att["fold_n"] = spec.attention.fold_n
-    if spec.attention.fold_m is not None:
-        att["fold_m"] = spec.attention.fold_m
-    d = {
-        "family": spec.family,
-        "depth": spec.depth,
-        "widen_factor": spec.widen_factor,
-        "num_classes": spec.num_classes,
-        "attention": att,
-    }
-    if spec.block != "auto":
-        d["block"] = spec.block
-    return d
+    return asdict(spec)
 
 
 def spec_from_dict(d):
-    unknown = sorted(set(d) - _SPEC_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown network keys: {', '.join(unknown)}")
-    att_raw = d.get("attention", {})
-    unknown = sorted(set(att_raw) - _ATT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown attention keys: {', '.join(unknown)}")
-    if "family" not in d or "depth" not in d:
-        raise ConfigError("network description requires family and depth")
-    att = AttentionConfig(
-        mode=parse_mode(att_raw.get("mode", "none")),
-        t=att_raw.get("t", 16),
-        fold_n=att_raw.get("fold_n"),
-        fold_m=att_raw.get("fold_m"),
-    )
-    return NetworkSpec(
-        family=str(d["family"]),
-        depth=d["depth"],
-        widen_factor=d.get("widen_factor", 1),
-        num_classes=d.get("num_classes", 10),
-        block=str(d.get("block", "auto")),
-        attention=att,
-    )
+    return from_dict(NetworkSpec, d, "network")

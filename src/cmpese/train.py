@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import MixupConfig, augment_batch, iterate_minibatches, mixup_batch
 from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged, \
-    require_int
+    from_dict, require_bool, require_int, require_number
 from .network import spec_to_dict
 from .tensor import Tensor, no_grad
 
@@ -40,18 +40,29 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        for key, least in (("batch_size", 1), ("eval_batch_size", 1),
-                           ("epochs", 0), ("checkpoint_every", 0)):
+        for key, least in (("batch_size", 1), ("eval_batch_size", 1), ("epochs", 0),
+                           ("checkpoint_every", 0), ("seed", 0)):
             require_int(key, getattr(self, key), least)
+        for key in ("base_lr", "momentum", "weight_decay"):
+            require_number(key, getattr(self, key))
+        for key in ("nesterov", "augment"):
+            require_bool(key, getattr(self, key))
         if self.total_epochs() < 1:
             raise ConfigError("epochs plus mixup tail_epochs must be at least 1, got "
                               f"{self.total_epochs()}")
+        if not isinstance(self.schedule, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in self.schedule):
+            raise ConfigError(f"schedule must be a list of [epoch, divisor] pairs, "
+                              f"got {self.schedule!r}")
+        self.schedule = tuple(tuple(e) for e in self.schedule)
+        for b, d in self.schedule:
+            require_int("schedule epoch", b, 0)
+            require_number("schedule divisor", d)
+            if d <= 1:
+                raise ConfigError(f"schedule divisor must exceed 1, got {d} at epoch {b}")
         boundaries = [b for b, _ in self.schedule]
         if boundaries != sorted(set(boundaries)):
             raise ConfigError(f"schedule epochs must be strictly increasing: {boundaries}")
-        for b, d in self.schedule:
-            if d <= 1:
-                raise ConfigError(f"schedule divisor must exceed 1, got {d} at epoch {b}")
 
     def total_epochs(self):
         return self.epochs + (self.mixup.tail_epochs if self.mixup.enabled else 0)
@@ -73,49 +84,21 @@ PRESETS = {
     ),
 }
 
-_TRAIN_KEYS = {
-    "preset", "epochs", "batch_size", "base_lr", "momentum", "nesterov",
-    "weight_decay", "schedule", "mixup", "augment", "seed",
-    "checkpoint_every", "eval_batch_size",
-}
-_MIXUP_KEYS = {"enabled", "alpha", "tail_epochs"}
-
 
 def train_config_from_dict(d):
-    unknown = sorted(set(d) - _TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown train keys: {', '.join(unknown)}")
-    merged = {}
-    preset = d.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-        merged.update(PRESETS[preset])
-    merged.update({k: v for k, v in d.items() if k != "preset"})
-    if "schedule" in merged:
-        merged["schedule"] = tuple((int(b), float(dv)) for b, dv in merged["schedule"])
-    mix = merged.get("mixup")
-    if isinstance(mix, dict):
-        unknown = sorted(set(mix) - _MIXUP_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown mixup keys: {', '.join(unknown)}")
-        merged["mixup"] = MixupConfig(**mix)
-    return TrainConfig(**merged)
+    """A train section: the named preset's fields, then the section's own."""
+    if isinstance(d, dict) and "preset" in d:
+        d = dict(d)
+        preset = d.pop("preset")
+        names = sorted(PRESETS)    # a list: an unhashable preset is refused, not a TypeError
+        if preset not in names:
+            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(names)}")
+        d = {**PRESETS[preset], **d}
+    return from_dict(TrainConfig, d, "train")
 
 
 def train_config_to_dict(cfg):
-    return {
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "base_lr": cfg.base_lr,
-        "momentum": cfg.momentum, "nesterov": cfg.nesterov,
-        "weight_decay": cfg.weight_decay,
-        "schedule": [[b, d] for b, d in cfg.schedule],
-        "mixup": {"enabled": cfg.mixup.enabled, "alpha": cfg.mixup.alpha,
-                  "tail_epochs": cfg.mixup.tail_epochs},
-        "augment": cfg.augment, "seed": cfg.seed,
-        "checkpoint_every": cfg.checkpoint_every,
-        "eval_batch_size": cfg.eval_batch_size,
-    }
+    return asdict(cfg)
 
 
 def lr_at(epoch, base_lr, schedule):

@@ -4,6 +4,7 @@ dispatch as a shell user."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ def test_unknown_manifest_key_fails_cleanly(tmp_path, capsys):
     assert "hue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("class_count", 2.9), ("n_per_class", "8"),
+                                        ("image_size", 16.0), ("seed", 4.5)])
+def test_manifest_value_that_is_not_an_integer_fails_cleanly(tmp_path, capsys,
+                                                             monkeypatch, key, value):
+    monkeypatch.delenv("CMPESE_SEED", raising=False)
+    manifest = {"class_count": 3, "n_per_class": 8, "seed": 4, "out": str(tmp_path / "o.npz")}
+    manifest[key] = value
+    assert cli.main(["synth-data", write_json(tmp_path / "toy.json", manifest)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o.npz").exists()
+
+
 # ---------------------------------------------------------------------------
 # train -> eval -> export-attention workflow
 # ---------------------------------------------------------------------------
@@ -201,6 +214,20 @@ def test_eval_top_k_flag(trained_run, capsys):
 def test_eval_missing_checkpoint_fails_cleanly(tmp_path, capsys):
     assert cli.main(["eval", str(tmp_path / "nope.ckpt"), "whatever.npz"]) == 1
     assert "checkpoint not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("network", [5, [1], None])
+def test_eval_on_a_sidecar_without_a_network_object_fails_cleanly(trained_run, tmp_path,
+                                                                  capsys, network):
+    _, out_dir, eval_npz = trained_run
+    ckpt = tmp_path / "last.ckpt"
+    shutil.copy(out_dir / "last.ckpt", ckpt)
+    meta = json.loads((out_dir / "last.ckpt.json").read_text())
+    meta["network"] = network
+    write_json(tmp_path / "last.ckpt.json", meta)
+    assert cli.main(["eval", str(ckpt), str(eval_npz)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "last.ckpt.json" in err and "network" in err
 
 
 def test_export_attention_writes_stats_and_maps(trained_run, capsys):

@@ -1,6 +1,8 @@
 """Data pipeline: binary decode layout, normalization, augmentation, mixup,
 and the synthetic corpus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,14 @@ def test_synth_class_count_bounds():
         synth_dataset(class_count=11)
 
 
+@pytest.mark.parametrize("key, value", [("class_count", 2.9), ("n_per_class", 2.5),
+                                        ("n_per_class", 0), ("image_size", "16"),
+                                        ("seed", 1.5), ("seed", True)])
+def test_synth_refuses_what_is_not_an_integer(key, value):
+    with pytest.raises(ConfigError, match=key):
+        synth_dataset(**{"class_count": 2, "n_per_class": 4, key: value})
+
+
 def test_manifest_required_and_unknown_keys(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"class_count": 2, "n_per_class": 10, "seed": 5}')
@@ -285,6 +295,37 @@ def test_npz_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(back.images, ds.images)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.class_count == 2 and back.split == "test"
+
+
+def _edit_npz(path, **edit):
+    """Write a saved 2-class dataset to ``path`` with keys replaced by
+    ``edit``; a value of None drops the key."""
+    ds = synth_dataset(class_count=2, n_per_class=3, image_size=4, seed=15)
+    arrays = {"images": ds.images, "labels": ds.labels,
+              "class_count": np.int64(2), "split": np.str_("train")}
+    arrays.update(edit)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return path
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("images", {"images": None}),
+    ("labels", {"labels": None}),
+    ("class_count", {"class_count": None}),
+    ("labels", {"labels": np.array([0, 1, 0, 1, 0, -1])}),
+    ("labels", {"labels": np.array([0, 1, 0, 1, 0, 2])}),
+    ("labels", {"labels": np.array([0, 1, 0, 1, 0])}),
+    ("labels", {"labels": np.zeros(6, dtype=np.float32)}),
+    ("images", {"images": np.zeros((6, 4, 4, 3), dtype=np.float64)}),
+    ("images", {"images": np.zeros((6, 4, 4, 1), dtype=np.float32)}),
+    ("images", {"images": np.zeros((6, 48), dtype=np.float32)}),
+    ("class_count", {"class_count": np.float64(2.0)}),
+    ("class_count", {"class_count": np.array([2])}),
+])
+def test_npz_with_a_bad_key_is_a_named_format_error(tmp_path, key, edit):
+    path = _edit_npz(tmp_path / "bad.npz", **edit)
+    with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + key):
+        load_dataset_npz(path)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,31 @@ def test_spec_refuses_bad_numeric_keys(where, key, value):
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize("where, value", [
+    ("attention", ["folded3x3", 16]),
+    ("attention", "folded3x3"),
+    ("network", 5),
+    ("network", [["family", "wrn"], ["depth", 16]]),
+])
+def test_spec_refuses_a_section_that_is_not_an_object(where, value):
+    d = spec_to_dict(wrn(16, 2, mode="folded3x3"))
+    if where == "attention":
+        d["attention"] = value
+    else:
+        d = value
+    with pytest.raises(ConfigError, match=f"{where} must be an object"):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [("family", 5), ("family", "WRN"),
+                                        ("block", None), ("block", "bogus")])
+def test_spec_refuses_unknown_family_and_block(key, value):
+    d = spec_to_dict(preact(20))
+    d[key] = value
+    with pytest.raises(ConfigError, match=key):
+        spec_from_dict(d)
+
+
 def test_invalid_depths_rejected():
     with pytest.raises(ConfigError):
         stage_plan(wrn(17, 8))           # (17-4) % 6 != 0

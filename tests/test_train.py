@@ -18,7 +18,7 @@ from cmpese.checkpoint import (
 )
 from cmpese.data import MixupConfig, synth_dataset
 from cmpese.errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged
-from cmpese.network import NetworkSpec, build
+from cmpese.network import NetworkSpec, build, spec_from_dict, spec_to_dict
 from cmpese.tensor import Tensor
 from cmpese.train import (
     PRESETS,
@@ -524,12 +524,29 @@ def test_sidecar_missing_a_key_is_a_named_format_error(saved_run, key):
 
 
 @pytest.mark.parametrize("key,value", [("epoch", "1"), ("epoch", -1), ("epoch", 1.0),
-                                       ("rng_state", [1, 2])])
+                                       ("rng_state", [1, 2]), ("network", 5),
+                                       ("network", [1])])
 def test_sidecar_with_a_malformed_value_is_a_named_format_error(saved_run, key, value):
     ckpt, sidecar = saved_run
     rewrite_sidecar(sidecar, lambda meta: meta.update({key: value}))
     with pytest.raises(DataFormatError, match=re.escape(sidecar) + ".*" + key):
         load_checkpoint(ckpt)
+
+
+def test_sidecar_network_in_the_sparse_format_still_loads(saved_run):
+    # sidecars written before the network dict listed every NetworkSpec
+    # field omit block when it is "auto" and fold keys when they are null
+    ckpt, sidecar = saved_run
+    full = load_checkpoint(ckpt)[2]["network"]
+    assert full["block"] == "auto" and full["attention"]["fold_n"] is None
+
+    def sparse(meta):
+        del meta["network"]["block"]
+        del meta["network"]["attention"]["fold_n"], meta["network"]["attention"]["fold_m"]
+    rewrite_sidecar(sidecar, sparse)
+    spec = spec_from_dict(load_checkpoint(ckpt)[2]["network"])
+    assert spec == tiny_model().spec
+    assert spec_to_dict(spec) == full
 
 
 @pytest.mark.parametrize("key,value", [("epoch", None), ("rng_state", None),
@@ -588,6 +605,23 @@ def test_unknown_keys_rejected():
     ({"epochs": 0}, "epochs"),
     ({"epochs": 0, "mixup": {"enabled": True, "tail_epochs": 0}}, "epochs"),
     ({"mixup": {"enabled": True, "tail_epochs": -1}}, "tail_epochs"),
+    # a value of the wrong type is refused, never coerced
+    ({"nesterov": "false"}, "nesterov"),
+    ({"augment": "no"}, "augment"),
+    ({"mixup": {"enabled": "false"}}, "enabled"),
+    ({"mixup": {"enabled": True, "alpha": "1.0"}}, "alpha"),
+    ({"mixup": {"tail_epochs": 2.5}}, "tail_epochs"),
+    ({"mixup": [True, 1.0, 20]}, "mixup"),
+    ({"schedule": [[2.9, 10]]}, "schedule"),
+    ({"schedule": [[10, "10"]]}, "schedule"),
+    ({"schedule": [[10, 10, 2]]}, "schedule"),
+    ({"schedule": 10}, "schedule"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"base_lr": "0.1"}, "base_lr"),
+    ({"momentum": True}, "momentum"),
+    ({"weight_decay": None}, "weight_decay"),
+    ({"preset": ["svhn"]}, "preset"),
 ])
 def test_settings_that_cannot_train_are_rejected(override, key):
     with pytest.raises(ConfigError, match=key):
@@ -614,3 +648,6 @@ def test_config_dict_round_trip():
                                   "mixup": {"enabled": True, "alpha": 0.5}})
     again = train_config_from_dict(train_config_to_dict(cfg))
     assert again == cfg
+    # through JSON the schedule comes back as lists; it is normalised to tuples
+    again = train_config_from_dict(json.loads(json.dumps(train_config_to_dict(cfg))))
+    assert again == cfg and again.schedule == ((100, 10), (150, 10))
