@@ -98,8 +98,8 @@ def largest_divisor_leq(c, cap):
 
 def resolve_fold_shape(c, fold_n=None, fold_m=None):
     """Pick (n, m) with n*m = 2C and n even (row pairs cover channels in
-    blocks of m). Explicitly inconsistent (n, m) is an error; a requested
-    m (16 when neither is given) or n that does not fit C falls back to the
+    blocks of m). Explicitly inconsistent (n, m) is an error. A requested n
+    asks for m = 2C // n; m (16 when neither is given) falls back to the
     largest divisor of C not exceeding it."""
     if fold_n is not None and fold_m is not None:
         if fold_n * fold_m != 2 * c or fold_n % 2 != 0:
@@ -109,10 +109,7 @@ def resolve_fold_shape(c, fold_n=None, fold_m=None):
             )
         return fold_n, fold_m
     if fold_n is not None:
-        if fold_n % 2 == 0 and (2 * c) % fold_n == 0 and c % ((2 * c) // fold_n) == 0:
-            return fold_n, 2 * c // fold_n
-        m = largest_divisor_leq(c, max(1, 2 * c // fold_n))
-        return 2 * c // m, m
+        fold_m = max(1, 2 * c // fold_n)
     m = largest_divisor_leq(c, 16 if fold_m is None else fold_m)
     return 2 * c // m, m
 

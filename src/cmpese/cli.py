@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import MODE_NAMES
 from .checkpoint import load_checkpoint
-from .config import load_experiment, materialize_data, resolve_seed
+from .config import check_class_count, load_experiment, materialize_data, resolve_seed
 from .data import load_cifar_binary, load_dataset_npz, load_synth_manifest, \
     save_dataset_npz, synth_dataset
 from .diagnostics import ascii_heatmap, attention_stats, capture_trace, \
@@ -29,8 +29,10 @@ from .train import evaluate, train
 
 def _load_eval_data(path, classes):
     if str(path).endswith(".npz"):
-        return load_dataset_npz(path)
-    ds, _ = load_cifar_binary(path, classes=classes, split="test")
+        ds = load_dataset_npz(path)
+    else:
+        ds, _ = load_cifar_binary(path, classes=classes, split="test")
+    check_class_count("eval", ds, classes)
     return ds
 
 

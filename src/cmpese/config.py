@@ -26,12 +26,15 @@ from .network import spec_from_dict
 from .train import train_config_from_dict
 
 _EXP_KEYS = {"network", "train", "data", "out_dir"}
+# per data kind: (required keys, optional keys)
 _DATA_KEYS = {
-    "synth": {"kind", "class_count", "n_per_class", "image_size", "seed"},
-    "npz": {"kind", "path", "eval_path"},
-    "cifar10": {"kind", "train", "test", "normalization"},
-    "cifar100": {"kind", "train", "test", "normalization"},
+    "synth": ({"kind"}, {"class_count", "n_per_class", "image_size", "seed"}),
+    "npz": ({"kind", "path"}, {"eval_path"}),
+    "cifar10": ({"kind", "train"}, {"test", "normalization"}),
+    "cifar100": ({"kind", "train"}, {"test", "normalization"}),
 }
+# keys that name data files, and whether a non-empty list of paths may stand for one
+_PATH_KEYS = {"path": False, "eval_path": False, "train": True, "test": True}
 
 
 def resolve_seed(seed):
@@ -77,16 +80,32 @@ def validate_data_section(data):
     kinds = sorted(_DATA_KEYS)    # a list: an unhashable kind is refused, not a TypeError
     if kind not in kinds:
         raise ConfigError(f"unknown data kind {kind!r}; expected one of {', '.join(kinds)}")
-    unknown = sorted(set(data) - _DATA_KEYS[kind])
+    required, optional = _DATA_KEYS[kind]
+    unknown = sorted(set(data) - required - optional)
     if unknown:
         raise ConfigError(f"unknown data keys for kind {kind!r}: {', '.join(unknown)}")
+    missing = sorted(required - set(data))
+    if missing:
+        raise ConfigError(f"data kind {kind!r} requires {', '.join(missing)}")
+    for key, many in _PATH_KEYS.items():
+        value = data.get(key, "")
+        paths = value if many and isinstance(value, list) and value else [value]
+        if not all(isinstance(v, str) for v in paths):
+            either = " or a non-empty list of them" if many else ""
+            raise ConfigError(f"data {key} must be a path string{either}, got {value!r}")
+
+
+def check_class_count(which, ds, num_classes):
+    """Refuse a dataset whose class_count is not the network's num_classes:
+    fewer classes leave outputs untrained, more index past the logits."""
+    if ds is not None and ds.class_count != num_classes:
+        raise ConfigError(f"{which} data has class_count {ds.class_count}, but the "
+                          f"network's num_classes is {num_classes}")
 
 
 def materialize_data(data, num_classes):
-    """Build (train_dataset, eval_dataset_or_None) from a data section.
-
-    A dataset whose class_count is not the network's num_classes is refused:
-    fewer classes leave outputs untrained, more index past the logits."""
+    """Build (train_dataset, eval_dataset_or_None) from a data section;
+    each must pass check_class_count."""
     kind = data["kind"]
     eval_ds = None
     if kind == "synth":
@@ -106,8 +125,6 @@ def materialize_data(data, num_classes):
         if "test" in data:
             eval_ds, _ = load_cifar_binary(data["test"], classes=classes,
                                            normalization=norm, stats=stats, split="test")
-    for which, ds in (("train", train), ("eval", eval_ds)):
-        if ds is not None and ds.class_count != num_classes:
-            raise ConfigError(f"{which} data has class_count {ds.class_count}, but the "
-                              f"network's num_classes is {num_classes}")
+    check_class_count("train", train, num_classes)
+    check_class_count("eval", eval_ds, num_classes)
     return train, eval_ds

@@ -46,7 +46,7 @@ class MixupConfig:
 # CIFAR binary format
 # ---------------------------------------------------------------------------
 
-def _decode_records(buf, record_size, label_offset, path):
+def _decode_records(buf, record_size, label_offset, classes, path):
     n_bytes = len(buf)
     if n_bytes == 0:
         raise DataFormatError(f"{path}: empty file", byte_offset=0)
@@ -59,6 +59,12 @@ def _decode_records(buf, record_size, label_offset, path):
     n = n_bytes // record_size
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(n, record_size)
     labels = raw[:, label_offset].astype(np.int64)
+    bad = np.flatnonzero(labels >= classes)
+    if bad.size:
+        i = int(bad[0])
+        raise DataFormatError(
+            f"{path}: record {i} has label {labels[i]}, out of range for {classes} classes",
+            byte_offset=i * record_size + label_offset)
     planes = raw[:, label_offset + 1:].reshape(n, 3, 32, 32)
     images = planes.transpose(0, 2, 3, 1).astype(np.float32)
     return images, labels
@@ -88,12 +94,9 @@ def load_cifar_binary(paths, classes=10, normalization="meanstd", stats=None,
     for path in paths:
         with open(path, "rb") as f:
             buf = f.read()
-        parts.append(_decode_records(buf, record_size, label_offset, str(path)))
+        parts.append(_decode_records(buf, record_size, label_offset, classes, str(path)))
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
-    if labels.max(initial=0) >= classes:
-        raise DataFormatError(
-            f"label {int(labels.max())} out of range for {classes} classes")
 
     if normalization == "meanstd":
         if stats is None:
@@ -206,6 +209,8 @@ def load_synth_manifest(path):
     for key in ("class_count", "n_per_class", "seed"):
         if key not in raw:
             raise ConfigError(f"manifest missing required key {key!r}")
+    if not isinstance(raw.get("out", ""), (str, type(None))):
+        raise ConfigError(f"manifest out must be a path string or null, got {raw['out']!r}")
     return raw
 
 

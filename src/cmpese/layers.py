@@ -1,8 +1,9 @@
 """Parameter-owning building blocks on top of the tensor core.
 
 A Module keeps explicit registries of parameters, buffers, and children;
-no metaclass or attribute magic. Weight decay eligibility is recorded per
-parameter at registration time (convolution and fully-connected weights
+no metaclass or attribute magic. Every call enters through ``__call__``, and
+every walk of the tree is ``modules()``. Weight decay eligibility is recorded
+per parameter at registration time (convolution and fully-connected weights
 decay; batch-norm affine parameters and biases do not).
 """
 
@@ -36,33 +37,38 @@ class Module:
         self._children[name] = module
         return module
 
-    def named_parameters(self, prefix=""):
-        for name, (t, _) in self._params.items():
-            yield prefix + name, t
-        for cname, c in self._children.items():
-            yield from c.named_parameters(prefix + cname + ".")
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
+
+    def modules(self):
+        """Yield (dotted prefix, module) for this module and each descendant,
+        parents first and children in registration order. The root's prefix
+        is "" and a descendant's ends in a dot, e.g. "block0.conv1."."""
+        yield "", self
+        for name, child in self._children.items():
+            for prefix, m in child.modules():
+                yield f"{name}.{prefix}", m
+
+    def named_parameters(self):
+        for prefix, m in self.modules():
+            for name, (t, _) in m._params.items():
+                yield prefix + name, t
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
 
-    def decay_flags(self, prefix=""):
-        flags = {}
-        for name, (_, d) in self._params.items():
-            flags[prefix + name] = d
-        for cname, c in self._children.items():
-            flags.update(c.decay_flags(prefix + cname + "."))
-        return flags
+    def decay_flags(self):
+        return {prefix + name: d
+                for prefix, m in self.modules() for name, (_, d) in m._params.items()}
 
-    def named_buffers(self, prefix=""):
-        for name, t in self._buffers.items():
-            yield prefix + name, t
-        for cname, c in self._children.items():
-            yield from c.named_buffers(prefix + cname + ".")
+    def named_buffers(self):
+        for prefix, m in self.modules():
+            for name, t in m._buffers.items():
+                yield prefix + name, t
 
     def train(self, mode=True):
-        self.training = mode
-        for c in self._children.values():
-            c.train(mode)
+        for _, m in self.modules():
+            m.training = mode
         return self
 
     def eval(self):
@@ -73,16 +79,13 @@ class Module:
             p.zero_grad()
 
     def state_dict(self):
-        state = {}
-        for name, t in self.named_parameters():
-            state[name] = t.data
-        for name, t in self.named_buffers():
-            state[name] = t.data
+        state = {name: t.data for name, t in self.named_parameters()}
+        state.update((name, t.data) for name, t in self.named_buffers())
         return state
 
     def load_state_dict(self, state):
         own = dict(self.named_parameters())
-        own.update(dict(self.named_buffers()))
+        own.update(self.named_buffers())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
@@ -126,8 +129,6 @@ class Conv2d(Module):
     def forward(self, x):
         return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
-    __call__ = forward
-
 
 class Linear(Module):
     """y = x @ W.T + b with W of shape (out, in)."""
@@ -147,8 +148,6 @@ class Linear(Module):
 
     def forward(self, x):
         return T.linear(x, self.weight, self.bias)
-
-    __call__ = forward
 
 
 class BatchNorm2d(Module):
@@ -173,5 +172,3 @@ class BatchNorm2d(Module):
             training=self.training, momentum=self.momentum, eps=self.eps,
             relu=relu, pad=pad,
         )
-
-    __call__ = forward

@@ -5,7 +5,10 @@ Families:
 * ``preact-resnet`` — CIFAR-style stem (3x3 conv to 16 channels) and three
   stages. Basic blocks give depth 6u+2; bottleneck blocks give 9u+2 with
   stage outputs (64, 128, 256) and internal width out/4.
-* ``wrn`` — depth 6u+4, stage widths (16k, 32k, 64k).
+* ``wrn`` — basic blocks, depth 6u+4, stage widths (16k, 32k, 64k).
+
+``block_units`` lists a block kind's convs; building a block, running it and
+counting its parameters all read that one table.
 
 Every residual block squeezes its branch output and its (possibly
 projected) shortcut, feeds both to the configured attention unit, scales
@@ -62,6 +65,12 @@ class NetworkSpec:
             raise ConfigError(f"unknown block kind {self.block!r}")
         for key in ("depth", "widen_factor", "num_classes"):
             require_int(key, getattr(self, key), 1)
+        if self.family == "preact-resnet" and self.widen_factor != 1:
+            raise ConfigError(f"widen_factor applies to family 'wrn' only; got "
+                              f"{self.widen_factor} for preact-resnet")
+        if self.family == "wrn" and self.block != "auto":
+            raise ConfigError(f"block applies to family 'preact-resnet' only; got "
+                              f"{self.block!r} for wrn")
 
 
 def resolve_block_kind(spec):
@@ -83,8 +92,24 @@ def resolve_block_kind(spec):
     if d % 9 == 0:
         return "bottleneck"
     raise ConfigError(
-        f"preact-resnet depth must be 6u+2 (basic) or 9u+2 (bottleneck); got {spec.depth}"
-    )
+        f"preact-resnet depth must be 6u+2 (basic) or 9u+2 (bottleneck); got {spec.depth}")
+
+
+def block_units(bspec):
+    """(in, out, kernel, stride) of each pre-activated conv of a block, in
+    build order: two 3x3 for ``basic``; 1x1, 3x3, 1x1 at width out/4 for
+    ``bottleneck``, its stride on the 3x3."""
+    cin, cout, stride = bspec.in_channels, bspec.out_channels, bspec.stride
+    if bspec.kind == "basic":
+        return [(cin, cout, 3, stride), (cout, cout, 3, 1)]
+    if cout % 4 != 0:
+        raise ConfigError(f"bottleneck output width must be divisible by 4, got {cout}")
+    w = cout // 4
+    return [(cin, w, 1, 1), (w, w, 3, stride), (w, cout, 1, 1)]
+
+
+# depth = per·u + base; base is the family's count of layers outside its blocks
+_DEPTH_BASE = {"preact-resnet": 2, "wrn": 4}
 
 
 def stage_plan(spec):
@@ -94,26 +119,18 @@ def stage_plan(spec):
     if (spec.family == "wrn" and parse_mode(att.mode) is AttentionMode.FOLDED_3X3
             and att.fold_n is None and att.fold_m is None):
         att = replace(att, fold_n=20)
-    if spec.family == "wrn":
-        if (spec.depth - 4) % 6 != 0 or spec.depth < 10:
-            raise ConfigError(f"wrn depth must be 6u+4 with u >= 1; got {spec.depth}")
-        u = (spec.depth - 4) // 6
-        k = spec.widen_factor
-        widths = (16 * k, 32 * k, 64 * k)
-        kind = "basic"
-    else:
-        kind = resolve_block_kind(spec)
-        per = 6 if kind == "basic" else 9
-        if (spec.depth - 2) % per != 0 or spec.depth <= 2:
-            raise ConfigError(
-                f"preact-resnet {kind} depth must be {per}u+2; got {spec.depth}"
-            )
-        u = (spec.depth - 2) // per
-        widths = (16, 32, 64) if kind == "basic" else (64, 128, 256)
-
-    stem = 16
+    kind, base = resolve_block_kind(spec), _DEPTH_BASE[spec.family]
+    # three stages of u blocks: a block's conv count sets the depth per u, and
+    # its output width over its inner width (4 for bottlenecks) the stage widths
+    units = block_units(BlockSpec(kind, 4, 4, 1, att))
+    per, expand = 3 * len(units), units[-1][1] // units[-1][0]
+    if (spec.depth - base) % per != 0 or spec.depth < base + per:
+        raise ConfigError(
+            f"{spec.family} {kind} depth must be {per}u+{base} with u >= 1; got {spec.depth}")
+    u = (spec.depth - base) // per
+    widths = tuple(w * spec.widen_factor * expand for w in (16, 32, 64))
+    stem = cin = 16
     blocks = []
-    cin = stem
     for stage, width in enumerate(widths):
         for b in range(u):
             stride = 2 if (stage > 0 and b == 0) else 1
@@ -124,60 +141,46 @@ def stage_plan(spec):
 
 class ResidualBlock(Module):
     """Pre-activation block: shared BN+ReLU feeds both the branch and the
-    projection shortcut (when one is needed)."""
+    projection shortcut (when one is needed). ``bn{i}``/``conv{i}`` follow
+    ``block_units``."""
 
     def __init__(self, bspec, rng=None, dtype=np.float32):
         super().__init__()
         self.spec = bspec
-        cin, cout, stride = bspec.in_channels, bspec.out_channels, bspec.stride
-        self.bn1 = self.child("bn1", BatchNorm2d(cin, dtype=dtype))
-        if bspec.kind == "basic":
-            self.conv1 = self.child(
-                "conv1", Conv2d(cin, cout, 3, stride=stride, padding=1, rng=rng, dtype=dtype))
-            self.bn2 = self.child("bn2", BatchNorm2d(cout, dtype=dtype))
-            self.conv2 = self.child(
-                "conv2", Conv2d(cout, cout, 3, stride=1, padding=1, rng=rng, dtype=dtype))
-        elif bspec.kind == "bottleneck":
-            if cout % 4 != 0:
-                raise ConfigError(f"bottleneck output width must be divisible by 4, got {cout}")
-            w = cout // 4
-            self.conv1 = self.child("conv1", Conv2d(cin, w, 1, rng=rng, dtype=dtype))
-            self.bn2 = self.child("bn2", BatchNorm2d(w, dtype=dtype))
-            self.conv2 = self.child(
-                "conv2", Conv2d(w, w, 3, stride=stride, padding=1, rng=rng, dtype=dtype))
-            self.bn3 = self.child("bn3", BatchNorm2d(w, dtype=dtype))
-            self.conv3 = self.child("conv3", Conv2d(w, cout, 1, rng=rng, dtype=dtype))
-        else:
-            raise ConfigError(f"unknown block kind {bspec.kind!r}")
+        self.units = []
+        for i, (a, c, k, stride) in enumerate(block_units(bspec), 1):
+            bn = self.child(f"bn{i}", BatchNorm2d(a, dtype=dtype))
+            conv = self.child(f"conv{i}", Conv2d(a, c, k, stride=stride, padding=k // 2,
+                                                 rng=rng, dtype=dtype))
+            # attributes too: perfbench's batch_norms() finds batch norms only so
+            setattr(self, f"bn{i}", bn)
+            setattr(self, f"conv{i}", conv)
+            self.units.append((bn, conv))
         self.proj = None
         if bspec.shortcut == "projection":
-            self.proj = self.child(
-                "proj", Conv2d(cin, cout, 1, stride=stride, rng=rng, dtype=dtype))
-        self.attn = make_attention_unit(cout, bspec.attention, rng=rng, dtype=dtype)
+            self.proj = self.child("proj", Conv2d(bspec.in_channels, bspec.out_channels, 1,
+                                                  stride=bspec.stride, rng=rng, dtype=dtype))
+        self.attn = make_attention_unit(bspec.out_channels, bspec.attention, rng=rng, dtype=dtype)
         if self.attn is not None:
             self.child("attn", self.attn)
 
     def branch_and_shortcut(self, x):
         """Returns (residual branch output, shortcut tensor). The shortcut
-        is the raw input for identity blocks, else the projected
-        pre-activation — the tensor whose squeeze competes with the branch."""
-        t = self.bn1(x, relu=True, pad=self.conv1.padding)
-        x_id = x if self.proj is None else self.proj(t)
-        h = self.conv1(t)
-        # without a graph, each activation is freed before the next is built
-        del t
-        h = self.bn2(h, relu=True, pad=self.conv2.padding)
-        h = self.conv2(h)
-        if self.spec.kind == "bottleneck":
-            h = self.bn3(h, relu=True, pad=self.conv3.padding)
-            h = self.conv3(h)
+        is the raw input for identity blocks, else the projected first
+        pre-activation — the tensor whose squeeze competes with the branch.
+        Rebinding ``h`` frees each activation, without a graph, before the
+        next is built."""
+        h, x_id = x, x
+        for i, (bn, conv) in enumerate(self.units):
+            h = bn(h, relu=True, pad=conv.padding)
+            if i == 0 and self.proj is not None:
+                x_id = self.proj(h)
+            h = conv(h)
         return h, x_id
 
     def forward(self, x):
         u_r, x_id = self.branch_and_shortcut(x)
         return recalibrate_and_add(u_r, x_id, self.attn)
-
-    __call__ = forward
 
 
 class Network(Module):
@@ -197,15 +200,12 @@ class Network(Module):
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[3] != 3:
-            raise ShapeError(
-                "forward", f"expected (N, H, W, 3) input, got {tuple(x.shape)}")
+            raise ShapeError("forward", f"expected (N, H, W, 3) input, got {tuple(x.shape)}")
         h = self.stem(x)
         for blk in self.blocks:
             h = blk(h)
         h = self.bn_final(h, relu=True)
         return self.fc(T.global_avg_pool(h))
-
-    __call__ = forward
 
     def attention_units(self):
         return [blk.attn for blk in self.blocks]
@@ -223,20 +223,11 @@ def param_count(spec):
     stem, plan, final_width = stage_plan(spec)
     total = 9 * 3 * stem
     for b in plan:
-        cin, cout = b.in_channels, b.out_channels
-        if b.kind == "basic":
-            total += 2 * cin + 9 * cin * cout      # bn1, conv1
-            total += 2 * cout + 9 * cout * cout    # bn2, conv2
-        else:
-            w = cout // 4
-            total += 2 * cin + cin * w             # bn1, conv1 1x1
-            total += 2 * w + 9 * w * w             # bn2, conv2 3x3
-            total += 2 * w + w * cout              # bn3, conv3 1x1
+        total += sum(2 * a + k * k * a * c for a, c, k, _ in block_units(b))   # bn, conv
         if b.shortcut == "projection":
-            total += cin * cout
-        total += attention_param_count(cout, b.attention)
-    total += 2 * final_width
-    total += final_width * spec.num_classes + spec.num_classes
+            total += b.in_channels * b.out_channels
+        total += attention_param_count(b.out_channels, b.attention)
+    total += 2 * final_width + final_width * spec.num_classes + spec.num_classes
     return total
 
 

@@ -50,6 +50,27 @@ def conv2d_dx_shift_gemm(g, w, x_shape, stride=1, padding=0):
     return gxp[:, padding:padding + h, padding:padding + wd, :]
 
 
+def fold_shape_three_branch(c, fold_n=None, fold_m=None):
+    """The folded map's (n, m) by the earlier three-case rule: both given
+    (checked), n alone (kept when it splits C into whole row pairs, else m
+    from the largest divisor of C not above 2C // n), or m alone (16 by
+    default, capped the same way). Raises ValueError for an invalid pair."""
+    def divisor_at_most(cap):
+        return max(d for d in range(1, min(cap, c) + 1) if c % d == 0)
+
+    if fold_n is not None and fold_m is not None:
+        if fold_n * fold_m != 2 * c or fold_n % 2 != 0:
+            raise ValueError((c, fold_n, fold_m))
+        return fold_n, fold_m
+    if fold_n is not None:
+        if fold_n % 2 == 0 and (2 * c) % fold_n == 0 and c % ((2 * c) // fold_n) == 0:
+            return fold_n, 2 * c // fold_n
+        m = divisor_at_most(max(1, 2 * c // fold_n))
+        return 2 * c // m, m
+    m = divisor_at_most(16 if fold_m is None else fold_m)
+    return 2 * c // m, m
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 

@@ -170,6 +170,24 @@ def test_resolve_fold_shape_recipes_and_fallback():
         resolve_fold_shape(16, fold_n=3, fold_m=2)
 
 
+def test_resolve_fold_shape_matches_the_three_case_rule():
+    """A requested n asks for m = 2C // n, then takes the divisor rule: the
+    same (n, m) as the rule that first kept an n dividing C into whole row
+    pairs, on every C <= 640 with n or m <= 64. The case of both, which
+    did not change, runs on a sample of C."""
+    sizes = [None] + list(range(1, 65))
+    for c in range(1, 641):
+        for fold_n in sizes:
+            for fold_m in (sizes if fold_n is None or c <= 16 or c % 64 == 0 else [None]):
+                try:
+                    want = oracles.fold_shape_three_branch(c, fold_n, fold_m)
+                except ValueError:
+                    with pytest.raises(ConfigError):
+                        resolve_fold_shape(c, fold_n, fold_m)
+                    continue
+                assert resolve_fold_shape(c, fold_n, fold_m) == want, (c, fold_n, fold_m)
+
+
 # ---------------------------------------------------------------------------
 # pair-view convolution units
 # ---------------------------------------------------------------------------

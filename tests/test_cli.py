@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cmpese import cli
-from cmpese.data import load_dataset_npz, synth_dataset
+from cmpese.data import load_dataset_npz, save_dataset_npz, synth_dataset
 
 
 def write_json(path, obj):
@@ -162,6 +162,30 @@ def test_manifest_value_that_is_not_an_integer_fails_cleanly(tmp_path, capsys,
     assert not (tmp_path / "o.npz").exists()
 
 
+@pytest.mark.parametrize("command, body, key", [
+    ("train", {"kind": "npz"}, "path"),
+    ("train", {"kind": "npz", "path": 5}, "path"),
+    ("train", {"kind": "npz", "path": "a.npz", "eval_path": None}, "eval_path"),
+    ("train", {"kind": "cifar10"}, "train"),
+    ("train", {"kind": "cifar10", "train": 12345}, "train"),
+    ("train", {"kind": "cifar100", "train": []}, "train"),
+    ("train", {"kind": "cifar10", "train": ["a.bin", 7]}, "train"),
+    ("train", {"kind": "cifar10", "train": "a.bin", "test": {"path": "b.bin"}}, "test"),
+    ("synth-data", {"n_per_class": 8, "seed": 4}, "class_count"),
+    ("synth-data", {"class_count": 2, "n_per_class": 8, "seed": 4, "out": 5}, "out"),
+])
+def test_data_section_or_manifest_missing_or_mistyped_key_fails_cleanly(
+        tmp_path, capsys, command, body, key):
+    if command == "train":
+        raw = json.loads(open(experiment_config(tmp_path)).read())
+        path = write_json(tmp_path / "exp.json", {**raw, "data": body})
+    else:
+        path = write_json(tmp_path / "toy.json", body)
+    assert cli.main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 # ---------------------------------------------------------------------------
 # train -> eval -> export-attention workflow
 # ---------------------------------------------------------------------------
@@ -176,7 +200,6 @@ def trained_run(tmp_path_factory):
     out_dir = tmp_path / "run"
     # held-out data for the downstream commands
     eval_npz = tmp_path / "eval.npz"
-    from cmpese.data import save_dataset_npz
     save_dataset_npz(synth_dataset(class_count=2, n_per_class=8, image_size=16,
                                    seed=77, split="test"), eval_npz)
     return tmp_path, out_dir, eval_npz
@@ -228,6 +251,20 @@ def test_eval_on_a_sidecar_without_a_network_object_fails_cleanly(trained_run, t
     assert cli.main(["eval", str(ckpt), str(eval_npz)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "last.ckpt.json" in err and "network" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-attention"])
+def test_data_with_another_class_count_than_the_checkpoint_fails_cleanly(
+        trained_run, tmp_path, capsys, command):
+    _, out_dir, _ = trained_run
+    four = tmp_path / "four.npz"
+    save_dataset_npz(synth_dataset(class_count=4, n_per_class=2, image_size=16), four)
+    argv = [command, str(out_dir / "last.ckpt"), str(four)]
+    assert cli.main(argv + ([str(tmp_path / "diag")] if command != "eval" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "class_count 4" in captured.err and "num_classes is 2" in captured.err
 
 
 def test_export_attention_writes_stats_and_maps(trained_run, capsys):

@@ -104,6 +104,19 @@ def test_label_out_of_range_rejected(tmp_path):
         load_cifar_binary(path, classes=10)
 
 
+def test_label_out_of_range_names_the_file_record_and_offset(tmp_path):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    write_records_10(a, [(0, checker_planes()), (1, checker_planes())])
+    write_records_10(b, [(2, checker_planes()), (10, checker_planes()), (3, checker_planes())])
+    with pytest.raises(DataFormatError, match=re.escape(f"{b}: record 1 has label 10")) as exc:
+        load_cifar_binary([a, b], classes=10)
+    assert exc.value.byte_offset == 3073
+    write_records_100(a, [(0, 5, checker_planes()), (0, 100, checker_planes())])
+    with pytest.raises(DataFormatError, match=re.escape(f"{a}: record 1 has label 100")) as exc:
+        load_cifar_binary(a, classes=100)
+    assert exc.value.byte_offset == 3074 + 1
+
+
 def test_unsupported_class_count_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_cifar_binary(tmp_path / "x.bin", classes=20)

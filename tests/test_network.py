@@ -10,6 +10,7 @@ from cmpese.attention import AttentionConfig, make_attention_unit
 from cmpese.errors import ConfigError, ShapeError
 from cmpese.network import (
     NetworkSpec,
+    block_units,
     build,
     param_count,
     reference_mparams,
@@ -143,6 +144,30 @@ def test_spec_refuses_unknown_family_and_block(key, value):
     d[key] = value
     with pytest.raises(ConfigError, match=key):
         spec_from_dict(d)
+
+
+@pytest.mark.parametrize("base, key, value", [("preact-resnet-20", "widen_factor", 4),
+                                               ("wrn-16-2", "block", "basic"),
+                                               ("wrn-16-2", "block", "bottleneck")])
+def test_spec_refuses_a_key_its_family_does_not_use(base, key, value):
+    d = spec_to_dict(preact(20) if base == "preact-resnet-20" else wrn(16, 2))
+    d[key] = value
+    with pytest.raises(ConfigError, match=key):
+        spec_from_dict(d)
+
+
+def test_block_units_list_each_pre_activated_conv():
+    basic, bottleneck = (stage_plan(spec)[1][1] for spec in (wrn(10, 2), preact(164)))
+    assert (basic.in_channels, basic.out_channels, basic.stride) == (32, 64, 2)
+    assert block_units(basic) == [(32, 64, 3, 2), (64, 64, 3, 1)]
+    assert (bottleneck.in_channels, bottleneck.out_channels) == (64, 64)
+    assert block_units(bottleneck) == [(64, 16, 1, 1), (16, 16, 3, 1), (16, 64, 1, 1)]
+    blk = build(preact(20, block="bottleneck"), rng=np.random.default_rng(0)).blocks[0]
+    assert [(bn.gamma.size, conv.weight.shape, conv.stride, conv.padding)
+            for bn, conv in blk.units] == [(16, (1, 1, 16, 16), 1, 0),
+                                           (16, (3, 3, 16, 16), 1, 1),
+                                           (16, (1, 1, 16, 64), 1, 0)]
+    assert blk.units == [(blk.bn1, blk.conv1), (blk.bn2, blk.conv2), (blk.bn3, blk.conv3)]
 
 
 def test_invalid_depths_rejected():
@@ -359,6 +384,34 @@ def test_named_parameters_are_unique_and_ordered():
     assert len(names) == len(set(names))
     assert names[0].startswith("stem")
     assert names == [k for k, _ in model.named_parameters()]  # stable ordering
+
+
+def test_modules_walk_parents_first_in_registration_order():
+    model = tiny(mode="se")
+    prefixes = [prefix for prefix, _ in model.modules()]
+    assert prefixes[:9] == ["", "stem.", "block0.", "block0.bn1.", "block0.conv1.",
+                            "block0.bn2.", "block0.conv2.", "block0.attn.",
+                            "block0.attn.reduce."]
+    assert prefixes[-2:] == ["bn_final.", "fc."]
+    walked = [prefix + name for prefix, m in model.modules() for name in m._params]
+    assert walked == [k for k, _ in model.named_parameters()]
+    assert all(m.training is False for _, m in model.eval().modules())
+
+
+def test_every_module_call_runs_its_forward(monkeypatch):
+    from cmpese.layers import BatchNorm2d, Conv2d
+    calls = []
+    for cls in (Conv2d, BatchNorm2d):
+        def spy(self, *args, _forward=cls.forward, **kwargs):
+            calls.append(type(self).__name__)
+            return _forward(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "forward", spy)
+    model = tiny(mode="pairview2x1")
+    with no_grad():
+        model(Tensor(np.zeros((1, 8, 8, 3), dtype=np.float32)))
+    # stem + 2 per block + 2 projections; 2 per block + 1 per unit + final
+    assert calls.count("Conv2d") == 1 + 2 * 3 + 2
+    assert calls.count("BatchNorm2d") == 2 * 3 + 3 + 1
 
 
 def test_load_state_dict_shape_mismatch_raises():
