@@ -165,6 +165,7 @@ def test_manifest_value_that_is_not_an_integer_fails_cleanly(tmp_path, capsys,
 @pytest.mark.parametrize("command, body, key", [
     ("train", {"kind": "npz"}, "path"),
     ("train", {"kind": "npz", "path": 5}, "path"),
+    ("train", {"kind": "npz", "path": ["a.npz"]}, "path"),
     ("train", {"kind": "npz", "path": "a.npz", "eval_path": None}, "eval_path"),
     ("train", {"kind": "cifar10"}, "train"),
     ("train", {"kind": "cifar10", "train": 12345}, "train"),
