@@ -40,7 +40,7 @@ def main():
     eval_ds = synth_dataset(class_count=args.classes, n_per_class=25,
                             seed=args.seed + 1, split="test")
     cfg = TrainConfig(epochs=args.epochs, batch_size=32, base_lr=0.05,
-                      schedule=((args.epochs * 2 // 3, 10),), seed=args.seed)
+                      schedule=((max(1, args.epochs * 2 // 3), 10),), seed=args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     rows = []

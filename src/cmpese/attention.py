@@ -178,14 +178,15 @@ class UnitSpec:
     kernel: tuple | None      # scan kernel (kh, kw); None for no inner map
     layout: str | None        # inner map: None, "stacked" (2 x C) or "folded" (n x m)
     width: int                # encoder input width, in multiples of C
+    reads_shortcut: bool      # whether the unit reads the shortcut's squeeze too
 
 
 UNIT_SPECS = {
-    AttentionMode.SE: UnitSpec(("reduce",), None, None, 1),
-    AttentionMode.DOUBLE_FC: UnitSpec(("reduce_res", "reduce_id"), None, None, 1),
-    AttentionMode.PAIR_2X1: UnitSpec(("encode",), (2, 1), "stacked", 1),
-    AttentionMode.PAIR_1X1: UnitSpec(("encode",), (1, 1), "stacked", 2),
-    AttentionMode.FOLDED_3X3: UnitSpec(("encode",), (3, 3), "folded", 2),
+    AttentionMode.SE: UnitSpec(("reduce",), None, None, 1, False),
+    AttentionMode.DOUBLE_FC: UnitSpec(("reduce_res", "reduce_id"), None, None, 1, True),
+    AttentionMode.PAIR_2X1: UnitSpec(("encode",), (2, 1), "stacked", 1, True),
+    AttentionMode.PAIR_1X1: UnitSpec(("encode",), (1, 1), "stacked", 2, True),
+    AttentionMode.FOLDED_3X3: UnitSpec(("encode",), (3, 3), "folded", 2, True),
 }
 
 
@@ -299,19 +300,17 @@ _UNIT_TYPES = {cls.mode: cls for cls in (SqueezeExcite, CompetitiveDoubleFC, Pai
 
 def make_attention_unit(channels, cfg, rng=None, dtype=np.float32):
     """Build the unit for one residual block; None for mode 'none'."""
-    mode = parse_mode(cfg.mode)
-    if mode is AttentionMode.NONE:
+    if cfg.mode is AttentionMode.NONE:
         return None
-    return _UNIT_TYPES[mode](channels, cfg.t, fold_n=cfg.fold_n, fold_m=cfg.fold_m,
-                             rng=rng, dtype=dtype)
+    return _UNIT_TYPES[cfg.mode](channels, cfg.t, fold_n=cfg.fold_n, fold_m=cfg.fold_m,
+                                 rng=rng, dtype=dtype)
 
 
 def attention_param_count(channels, cfg):
     """Trainable scalars of one unit, from UNIT_SPECS alone (no allocation)."""
-    mode = parse_mode(cfg.mode)
-    if mode is AttentionMode.NONE:
+    if cfg.mode is AttentionMode.NONE:
         return 0
-    spec = UNIT_SPECS[mode]
+    spec = UNIT_SPECS[cfg.mode]
     c, r = channels, reduced_width(channels, cfg.t)
     count = len(spec.encoders) * (spec.width * c * r + r * c)
     if spec.kernel is not None:
@@ -322,7 +321,8 @@ def attention_param_count(channels, cfg):
 
 def recalibrate_and_add(u_r, x_id, unit):
     """Block output: scale the residual map channel-wise by the excitation
-    of (u_r, x_id) and add the shortcut. Mode 'none' is a plain addition."""
+    of (u_r, x_id) and add the shortcut. Mode 'none' is a plain addition.
+    The shortcut is squeezed only for a unit that reads its squeeze."""
     if u_r.shape != x_id.shape:
         raise ShapeError(
             "recalibrate_and_add",
@@ -331,6 +331,6 @@ def recalibrate_and_add(u_r, x_id, unit):
     if unit is None:
         return T.add(u_r, x_id)
     u_hat = T.global_avg_pool(u_r)
-    x_hat = T.global_avg_pool(x_id)
+    x_hat = T.global_avg_pool(x_id) if unit.spec.reads_shortcut else None
     s = unit.excite(u_hat, x_hat)
     return T.channel_scale_add(s, u_r, x_id)

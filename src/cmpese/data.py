@@ -9,6 +9,7 @@ and mixup batches.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -19,10 +20,28 @@ from .errors import ConfigError, DataFormatError, require_bool, require_int, req
 
 @dataclass
 class Dataset:
+    """Images, their labels and the class count, checked on construction:
+    anything else raises DataFormatError before training or evaluation."""
+
     images: np.ndarray        # (N, H, W, 3) float32
-    labels: np.ndarray        # (N,) int64
+    labels: np.ndarray        # (N,) integers in [0, class_count)
     class_count: int
     split: str = "train"
+
+    def __post_init__(self):
+        images, labels, classes = self.images, self.labels, self.class_count
+        if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
+            raise DataFormatError(f"images must be float32 of shape (N, H, W, 3), "
+                                  f"got {images.dtype} {images.shape}")
+        if isinstance(classes, bool) or not isinstance(classes, numbers.Integral) \
+                or classes < 1:
+            raise DataFormatError(f"class_count must be a positive integer, got {classes!r}")
+        if labels.dtype.kind not in "iu" or labels.shape != images.shape[:1]:
+            raise DataFormatError(f"labels must be {len(images)} integers, one per image, "
+                                  f"got {labels.dtype} {labels.shape}")
+        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+            raise DataFormatError(f"labels must lie in [0, {classes}), got "
+                                  f"[{labels.min()}, {labels.max()}]")
 
     def __len__(self):
         return self.images.shape[0]
@@ -221,29 +240,22 @@ def save_dataset_npz(dataset, path):
 
 
 def load_dataset_npz(path):
-    """Read a dataset that save_dataset_npz wrote. A missing key, images that
-    are not float32 of shape (N, H, W, 3), a class_count that is not a
-    positive integer, or labels that are not N integers in [0, class_count)
-    raise DataFormatError naming the file and the key."""
+    """Read a dataset that save_dataset_npz wrote. A missing key, a
+    class_count that is not a scalar, or any value that Dataset refuses
+    raises DataFormatError naming the file and the key."""
     keys = ("images", "labels", "class_count", "split")
     with np.load(path, allow_pickle=False) as z:
         missing = [k for k in keys if k not in z.files]
         if missing:
             raise DataFormatError(f"{path}: lacks {', '.join(missing)}")
         images, labels, class_count, split = (z[k] for k in keys)
-    if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
-        raise DataFormatError(f"{path}: images must be float32 of shape (N, H, W, 3), "
-                              f"got {images.dtype} {images.shape}")
-    if class_count.ndim != 0 or class_count.dtype.kind not in "iu" or class_count < 1:
+    if class_count.ndim != 0:
         raise DataFormatError(f"{path}: class_count must be a positive integer, "
                               f"got {class_count!r}")
-    if labels.dtype.kind not in "iu" or labels.shape != images.shape[:1]:
-        raise DataFormatError(f"{path}: labels must be {len(images)} integers, one per image, "
-                              f"got {labels.dtype} {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise DataFormatError(f"{path}: labels must lie in [0, {class_count}), got "
-                              f"[{labels.min()}, {labels.max()}]")
-    return Dataset(images, labels, int(class_count), str(split))
+    try:
+        return Dataset(images, labels, class_count.item(), str(split))
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
 def iterate_minibatches(images, labels, batch_size, rng=None, shuffle=True):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, parse_mode
+from .attention import AttentionConfig
 from .network import BlockSpec, ResidualBlock
 from .tensor import Tensor, no_grad
 
@@ -92,10 +92,8 @@ def block_gradient_check(mode, channels=8, t=4, spatial=4, batch=2, seed=0,
     The scalar target is a fixed random weighting of the block output, so
     every output element contributes to every gradient.
     """
-    mode = parse_mode(mode)
     rng = np.random.default_rng(seed)
-    att = AttentionConfig(mode=mode, t=t)
-    bspec = BlockSpec(kind, channels, channels, 1, att)
+    bspec = BlockSpec(kind, channels, channels, 1, AttentionConfig(mode=mode, t=t))
     blk = ResidualBlock(bspec, rng=rng, dtype=np.float64)
     blk.train()
     x = Tensor(rng.standard_normal((batch, spatial, spatial, channels)),

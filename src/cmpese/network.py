@@ -10,9 +10,10 @@ Families:
 ``block_units`` lists a block kind's convs; building a block, running it and
 counting its parameters all read that one table.
 
-Every residual block squeezes its branch output and its (possibly
-projected) shortcut, feeds both to the configured attention unit, scales
-the branch by the excitation, then adds the shortcut.
+Every residual block squeezes its branch output, and its (possibly
+projected) shortcut for a competitive unit, feeds the squeezes to the
+configured attention unit, scales the branch by the excitation, then adds
+the shortcut. SE reads only the branch's squeeze.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .attention import (
     AttentionMode,
     attention_param_count,
     make_attention_unit,
-    parse_mode,
     recalibrate_and_add,
 )
 from .errors import ConfigError, ShapeError, from_dict, require_int
@@ -116,7 +116,7 @@ def stage_plan(spec):
     """Expand a NetworkSpec into (stem_width, [BlockSpec...], final_width)."""
     att = spec.attention
     # published fold recipes: n = 20 rows for wrn, else resolve_fold_shape's m = 16
-    if (spec.family == "wrn" and parse_mode(att.mode) is AttentionMode.FOLDED_3X3
+    if (spec.family == "wrn" and att.mode is AttentionMode.FOLDED_3X3
             and att.fold_n is None and att.fold_m is None):
         att = replace(att, fold_n=20)
     kind, base = resolve_block_kind(spec), _DEPTH_BASE[spec.family]
@@ -252,7 +252,7 @@ REFERENCE_MPARAMS = {
 
 
 def reference_mparams(spec):
-    key = (spec.family, spec.depth, spec.widen_factor, parse_mode(spec.attention.mode).value)
+    key = (spec.family, spec.depth, spec.widen_factor, spec.attention.mode.value)
     return REFERENCE_MPARAMS.get(key)
 
 

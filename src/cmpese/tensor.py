@@ -263,13 +263,14 @@ def _released(g):
 
 
 def _result(data, parents, backward_fn, name=None):
-    """Wrap an op result, attaching graph edges only when grad is live."""
+    """Wrap an op result. It requires grad when grad is enabled and an input
+    does, and then links as parents exactly the inputs that require grad."""
     if _finite_checks and not np.all(np.isfinite(data)):
         raise NonFiniteError("non-finite forward value", name)
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires, name=name)
     if requires:
-        out._parents = tuple(p for p in parents if p.requires_grad or p._parents)
+        out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward_fn
     return out
 
@@ -337,37 +338,29 @@ def _sum_to(grad, shape, y=None):
     return grad if y is None else grad * y
 
 
-def as_tensor(x, dtype=np.float32):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 # ---------------------------------------------------------------------------
 # elementwise / broadcast ops
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(_sum_to(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(_sum_to(g, b.shape))
 
     return _result(data, (a, b), backward, "add")
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(_sum_to(g, a.shape, b.data))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(_sum_to(g, b.shape, a.data))
 
     return _result(data, (a, b), backward, "mul")
@@ -442,9 +435,9 @@ def stack_rows(a, b):
     data = np.stack([a.data, b.data], axis=1)
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(g[:, 0])
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(g[:, 1])
 
     return _result(data, (a, b), backward, "stack_rows")
@@ -490,7 +483,7 @@ def linear(x, w, bias=None):
         data = data + bias.data
 
     def backward(g):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g @ w.data)
         if w.requires_grad:
             w.accumulate_grad(g.T @ x.data)
@@ -519,9 +512,9 @@ def dual_linear(h_a, h_b, w):
     data = h_a.data @ w_a.T + h_b.data @ w_b.T
 
     def backward(g):
-        if h_a.requires_grad or h_a._parents:
+        if h_a.requires_grad:
             h_a.accumulate_grad(g @ w_a)
-        if h_b.requires_grad or h_b._parents:
+        if h_b.requires_grad:
             h_b.accumulate_grad(g @ w_b)
         if w.requires_grad:
             gw = np.empty_like(w.data)
@@ -661,7 +654,7 @@ def conv2d(x, w, stride=1, padding=0):
             gw = functools.reduce(
                 np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
             w.accumulate_grad(gw.reshape(w.shape))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             if flat and min(ho, wo) >= _FLAT_DX_MIN:
                 # g sits in the top-left corner of a zero grid, so grid row r
                 # holds the gradient of the output that tap (i, j) computed
@@ -720,11 +713,11 @@ def channel_scale_add(s, u, x):
     data += x.data
 
     def backward(g):
-        if s.requires_grad or s._parents:
+        if s.requires_grad:
             s.accumulate_grad(_sum_to(g, s4.shape, u.data).reshape(s.shape))
-        if u.requires_grad or u._parents:
+        if u.requires_grad:
             u.accumulate_grad(g * s4)
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g)
 
     return _result(data, (s, u, x), backward, "channel_scale_add")
@@ -805,7 +798,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             beta.accumulate_grad(_sum_leading(g, axes))
         if gamma.requires_grad:
             gamma.accumulate_grad(_sum_leading(g, axes, xn))
-        if not (x.requires_grad or x._parents):
+        if not x.requires_grad:
             return
         if not training:
             x.accumulate_grad(g * gamma.data * inv_std)

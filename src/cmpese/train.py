@@ -176,9 +176,10 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
     """Run the full schedule; returns the per-epoch history (list of dicts).
 
     With mixup enabled, epochs [0, cfg.epochs) mix batches and the final
-    cfg.mixup.tail_epochs train plainly. Writes metrics.csv and rolling
-    checkpoints under out_dir when given. resume_from restores weights,
-    velocity, and rng state, continuing the exact trajectory.
+    cfg.mixup.tail_epochs train plainly. Under out_dir, when given, writes
+    metrics.csv, and last.ckpt after every checkpoint_every-th epoch and the
+    last. resume_from restores weights, velocity, and rng state, continuing
+    the exact trajectory.
     """
     clock = clock or time.perf_counter
     rng = np.random.default_rng(cfg.seed)
@@ -186,7 +187,7 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
     flags = model.decay_flags()
     velocity = {}
     start_epoch = 0
-    net_dict = spec_to_dict(model.spec) if hasattr(model, "spec") else None
+    net_dict = spec_to_dict(model.spec)
     cfg_hash = config_hash({"train": train_config_to_dict(cfg), "network": net_dict})
 
     if resume_from:
@@ -200,7 +201,7 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
             raise DataFormatError(
                 f"{resume_from}.json: rng_state does not restore a generator ({e})") from None
         model.load_state_dict(state)
-        velocity = {k: v.copy() for k, v in vel.items()}
+        velocity = vel
         start_epoch = meta["epoch"] + 1
 
     csv_file = None
@@ -209,16 +210,6 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
         os.makedirs(out_dir, exist_ok=True)
         ckpt_path = os.path.join(out_dir, "last.ckpt")
         csv_file = _open_metrics(os.path.join(out_dir, "metrics.csv"), start_epoch)
-
-    saved_epoch = None
-
-    def write_ckpt(epoch):
-        nonlocal saved_epoch
-        if ckpt_path:
-            save_checkpoint(ckpt_path, model.state_dict(), net_dict,
-                            velocity=velocity, epoch=epoch,
-                            rng_state=rng.bit_generator.state, cfg_hash=cfg_hash)
-        saved_epoch = epoch
 
     history = []
     try:
@@ -268,10 +259,11 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
             if csv_file:
                 csv_file.write(_csv_row(row))
                 csv_file.flush()
-            if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
-                write_ckpt(epoch)
-        if saved_epoch != cfg.total_epochs() - 1:
-            write_ckpt(cfg.total_epochs() - 1)
+            if ckpt_path and (epoch == cfg.total_epochs() - 1 or (
+                    cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0)):
+                save_checkpoint(ckpt_path, model.state_dict(), net_dict,
+                                velocity=velocity, epoch=epoch,
+                                rng_state=rng.bit_generator.state, cfg_hash=cfg_hash)
     finally:
         if csv_file:
             csv_file.close()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cmpese.data import (
+    Dataset,
     MixupConfig,
     augment_batch,
     channel_stats,
@@ -339,6 +340,44 @@ def test_npz_with_a_bad_key_is_a_named_format_error(tmp_path, key, edit):
     path = _edit_npz(tmp_path / "bad.npz", **edit)
     with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + key):
         load_dataset_npz(path)
+
+
+# a Dataset built in Python is checked as a loaded one is, so bad values never
+# reach train() or evaluate(): float64 images would run the network in float64,
+# and a label of -1 would train against the last class
+
+def _fields(**edit):
+    fields = {"images": np.zeros((4, 2, 2, 3), np.float32),
+              "labels": np.array([0, 1, 1, 0]), "class_count": 2}
+    fields.update(edit)
+    return fields
+
+
+@pytest.mark.parametrize("images", [
+    np.zeros((4, 2, 2, 3), np.float64),
+    np.zeros((4, 2, 2, 1), np.float32),
+    np.zeros((4, 12), np.float32),
+])
+def test_dataset_refuses_bad_images(images):
+    with pytest.raises(DataFormatError, match="images must be float32"):
+        Dataset(**_fields(images=images))
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 1, -1, 0]),
+    np.array([0, 1, 2, 0]),
+    np.array([0, 1, 1]),
+    np.zeros(4, np.float32),
+])
+def test_dataset_refuses_bad_labels(labels):
+    with pytest.raises(DataFormatError, match="labels must"):
+        Dataset(**_fields(labels=labels))
+
+
+@pytest.mark.parametrize("class_count", [0, 2.0, True, "2"])
+def test_dataset_refuses_bad_class_count(class_count):
+    with pytest.raises(DataFormatError, match="class_count must be a positive integer"):
+        Dataset(**_fields(labels=np.zeros(4, np.int64), class_count=class_count))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,24 @@ def test_block_tail_is_one_node_on_the_excitation(mode):
     assert u_r.name == "conv2d" and x_id is x
 
 
+@pytest.mark.parametrize("mode, pools", [("none", 0), ("se", 1), ("doublefc", 2),
+                                         ("pairview2x1", 2), ("pairview1x1", 2),
+                                         ("folded3x3", 2)])
+def test_block_squeezes_the_shortcut_only_for_a_unit_that_reads_it(monkeypatch, mode, pools):
+    # SE reads the branch's squeeze alone; the competitive units read both
+    model = build(wrn(10, 1, mode=mode, t=4), rng=np.random.default_rng(9))
+    pooled = []
+    pool = T.global_avg_pool
+
+    def spy(x):
+        pooled.append(x)
+        return pool(x)
+
+    monkeypatch.setattr(T, "global_avg_pool", spy)
+    model.blocks[0](Tensor(np.random.default_rng(10).standard_normal((2, 8, 8, 16))))
+    assert len(pooled) == pools
+
+
 @pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
 def test_identity_block_forward_peak_without_a_graph():
     # WRN-16-2 stage-1 identity block at batch 64, as evaluation runs it:

@@ -2,8 +2,11 @@
 package: each runs in its own process and must exit 0 with its usual output."""
 
 import os
+import re
 import subprocess
 import sys
+
+from cmpese.attention import MODE_NAMES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -24,7 +27,9 @@ def test_mode_sweep_writes_its_table(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "mode,params,final_eval_err,best_eval_err,final_train_acc,seconds"
     assert len(rows) == 2 and rows[1].startswith("folded3x3,")
-    assert (out / "folded3x3" / "metrics.csv").exists()
+    log = (out / "folded3x3" / "metrics.csv").read_text().splitlines()
+    # one epoch trains at base_lr: the schedule's boundary is at least epoch 1
+    assert log[1].split(",")[:2] == ["0", "0.05"]
 
 
 def test_step_faults_times_one_step():
@@ -34,3 +39,13 @@ def test_step_faults_times_one_step():
     assert len(lines) == 2
     assert lines[0].startswith("step 1:") and "minor faults" in lines[0]
     assert lines[1].startswith("ru_maxrss:")
+
+
+def test_bitwise_modes_prints_two_stable_digests_per_mode():
+    runs = [run_script("bitwise_modes.py", SRC) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == list(MODE_NAMES)
+        assert all(re.fullmatch(r"\S+ [0-9a-f]{64} [0-9a-f]{64}", line) for line in lines)
+    assert runs[0].stdout == runs[1].stdout

@@ -736,6 +736,31 @@ def test_stack_rows_layout_and_grad_split():
     np.testing.assert_array_equal(b.grad, [[0, 5]])
 
 
+# each op's inputs, by shape, and the call that applies it to them
+GRAPH_OPS = {
+    "conv2d": ([(2, 5, 5, 3), (3, 3, 3, 4)], lambda x, w: T.conv2d(x, w, padding=1)),
+    "batch_norm": ([(2, 3, 3, 4), (4,), (4,)], lambda x, g, b: T.batch_norm(
+        x, g, b, Tensor(np.zeros(4)), Tensor(np.ones(4)), training=True)),
+    "linear": ([(3, 4), (5, 4), (5,)], T.linear),
+    "channel_scale_add": ([(2, 4), (2, 3, 3, 4), (2, 3, 3, 4)], T.channel_scale_add),
+}
+
+
+@pytest.mark.parametrize("op", sorted(GRAPH_OPS))
+def test_an_input_that_needs_no_grad_stays_off_the_graph(op):
+    # the graph rule: an op links only the inputs that require grad, and its
+    # closure hands a gradient to exactly those
+    shapes, call = GRAPH_OPS[op]
+    for frozen in range(len(shapes)):
+        inputs = [Tensor(RNG.standard_normal(shape), requires_grad=i != frozen)
+                  for i, shape in enumerate(shapes)]
+        out = call(*inputs)
+        assert out._parents == tuple(t for t in inputs if t.requires_grad)
+        scalarize(out).backward()
+        assert inputs[frozen].grad is None
+        assert all(t.grad is not None for t in inputs if t.requires_grad)
+
+
 # ---------------------------------------------------------------------------
 # backward frees the graph it walks
 # ---------------------------------------------------------------------------

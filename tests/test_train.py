@@ -342,8 +342,12 @@ def test_resume_after_kill_past_last_checkpoint_repeats_no_rows(tmp_path):
         == (out_split / "metrics.csv").read_bytes()
 
 
-@pytest.mark.parametrize("every,epochs_saved", [(0, [1]), (1, [0, 1]), (2, [1])])
+# the run lasts until the last epoch saved: every checkpoint_every-th epoch
+# saves, and so does the final one, once
+@pytest.mark.parametrize("every,epochs_saved", [(0, [1]), (1, [0, 1]), (2, [1]),
+                                                (0, [4]), (2, [1, 3, 4]), (3, [2, 4])])
 def test_final_checkpoint_written_once(tmp_path, monkeypatch, every, epochs_saved):
+    epochs = epochs_saved[-1] + 1
     train_mod = importlib.import_module("cmpese.train")   # the package re-exports train()
     saved = []
     save = train_mod.save_checkpoint
@@ -354,10 +358,10 @@ def test_final_checkpoint_written_once(tmp_path, monkeypatch, every, epochs_save
 
     monkeypatch.setattr(train_mod, "save_checkpoint", recording_save)
     data = synth_dataset(class_count=2, n_per_class=16, seed=8)
-    train(tiny_model(), data, small_run_cfg(epochs=2, checkpoint_every=every),
+    train(tiny_model(), data, small_run_cfg(epochs=epochs, checkpoint_every=every),
           out_dir=str(tmp_path))
     assert saved == epochs_saved
-    assert load_checkpoint(str(tmp_path / "last.ckpt"))[2]["epoch"] == 1
+    assert load_checkpoint(str(tmp_path / "last.ckpt"))[2]["epoch"] == epochs - 1
 
 
 def test_mixup_runs_tail_epochs_plainly():
