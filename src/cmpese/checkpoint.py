@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, check_keys
 
 MAGIC = b"CMPESE01"
 
@@ -120,11 +120,8 @@ def load_checkpoint(path):
             meta = json.load(f)
         except ValueError as e:
             raise DataFormatError(f"{sidecar}: not a JSON checkpoint sidecar ({e})") from None
-    if not isinstance(meta, dict):
-        raise DataFormatError(f"{sidecar}: sidecar is not a JSON object")
-    missing = [k for k in ("epoch", "rng_state", "network") if k not in meta]
-    if missing:
-        raise DataFormatError(f"{sidecar}: sidecar lacks {', '.join(missing)}")
+    check_keys(meta, "sidecar", ("epoch", "rng_state", "network"), ("format", "config_hash"),
+               error=lambda message: DataFormatError(f"{sidecar}: {message}"))
     epoch = meta["epoch"]
     if epoch is not None and (type(epoch) is not int or epoch < 0):
         raise DataFormatError(f"{sidecar}: epoch must be a non-negative integer, got {epoch!r}")

@@ -21,17 +21,16 @@ import os
 from dataclasses import replace
 
 from .data import load_cifar_binary, load_dataset_npz, synth_dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, require_choice
 from .network import spec_from_dict
 from .train import train_config_from_dict
 
-_EXP_KEYS = {"network", "train", "data", "out_dir"}
 # per data kind: (required keys, optional keys)
 _DATA_KEYS = {
-    "synth": ({"kind"}, {"class_count", "n_per_class", "image_size", "seed"}),
-    "npz": ({"kind", "path"}, {"eval_path"}),
-    "cifar10": ({"kind", "train"}, {"test", "normalization"}),
-    "cifar100": ({"kind", "train"}, {"test", "normalization"}),
+    "synth": (("kind",), ("class_count", "n_per_class", "image_size", "seed")),
+    "npz": (("kind", "path"), ("eval_path",)),
+    "cifar10": (("kind", "train"), ("test", "normalization")),
+    "cifar100": (("kind", "train"), ("test", "normalization")),
 }
 # keys that name data files, and whether a non-empty list of paths may stand for one
 _PATH_KEYS = {"path": False, "eval_path": False, "train": True, "test": True}
@@ -50,13 +49,7 @@ def resolve_seed(seed):
 def load_experiment(path):
     with open(path) as f:
         raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - _EXP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "network" not in raw:
-        raise ConfigError("config requires a 'network' section")
+    check_keys(raw, "config", ("network",), ("train", "data", "out_dir"))
     spec = spec_from_dict(raw["network"])
     cfg = train_config_from_dict(raw.get("train", {}))
     cfg = replace(cfg, seed=resolve_seed(cfg.seed))
@@ -77,16 +70,8 @@ def validate_data_section(data):
     if not isinstance(data, dict):
         raise ConfigError(f"data must be an object, got {data!r}")
     kind = data.get("kind")
-    kinds = sorted(_DATA_KEYS)    # a list: an unhashable kind is refused, not a TypeError
-    if kind not in kinds:
-        raise ConfigError(f"unknown data kind {kind!r}; expected one of {', '.join(kinds)}")
-    required, optional = _DATA_KEYS[kind]
-    unknown = sorted(set(data) - required - optional)
-    if unknown:
-        raise ConfigError(f"unknown data keys for kind {kind!r}: {', '.join(unknown)}")
-    missing = sorted(required - set(data))
-    if missing:
-        raise ConfigError(f"data kind {kind!r} requires {', '.join(missing)}")
+    require_choice("data kind", kind, sorted(_DATA_KEYS))
+    check_keys(data, f"data kind {kind!r}", *_DATA_KEYS[kind])
     for key, many in _PATH_KEYS.items():
         value = data.get(key, "")
         paths = value if many and isinstance(value, list) and value else [value]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, require_bool, require_int, require_number
+from .errors import ConfigError, DataFormatError, check_keys, require_bool, require_int, \
+    require_number
 
 
 @dataclass
@@ -112,22 +113,27 @@ def load_cifar_binary(paths, classes=10, normalization="meanstd", stats=None,
     parts = []
     for path in paths:
         with open(path, "rb") as f:
-            buf = f.read()
-        parts.append(_decode_records(buf, record_size, label_offset, classes, str(path)))
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+            parts.append(_decode_records(f.read(), record_size, label_offset, classes, str(path)))
+    if len(parts) == 1:
+        images, labels = parts[0]
+    else:
+        images = np.concatenate([p[0] for p in parts])
+        labels = np.concatenate([p[1] for p in parts])
+    del parts    # the per-file arrays, once concatenated
 
+    # in place on the one float32 copy of the decoded images
     if normalization == "meanstd":
         if stats is None:
             stats = channel_stats(images)
         mean, std = stats
-        images = (images - mean) / std
+        images -= mean
+        images /= std
     elif normalization == "scale255":
-        images = images / np.float32(255.0)
+        images /= np.float32(255.0)
         stats = None
     else:
         raise ConfigError(f"unknown normalization {normalization!r}")
-    return Dataset(images.astype(np.float32), labels, classes, split), stats
+    return Dataset(images, labels, classes, split), stats
 
 
 def channel_stats(images):
@@ -198,18 +204,18 @@ def synth_dataset(class_count=2, n_per_class=100, image_size=16, seed=0,
     images = np.empty((n, image_size, image_size, 3), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float32) / image_size
-    idx = 0
     for k in range(class_count):
         cy = 0.25 + 0.5 * ((k * 0.37) % 1.0)
         cx = 0.25 + 0.5 * ((k * 0.61) % 1.0)
         blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / 0.02))
         wave = 0.25 * np.sin(2 * np.pi * (k + 1) * xx)
         base = blob[..., None] * _PALETTE[k] + wave[..., None]
-        for _ in range(n_per_class):
-            noise = rng.normal(0.0, 0.08, size=(image_size, image_size, 3))
-            images[idx] = base + 0.3 * _PALETTE[k] + noise.astype(np.float32)
-            labels[idx] = k
-            idx += 1
+        # one draw per class: the generator yields the same stream as one
+        # draw per image
+        noise = rng.normal(0.0, 0.08, size=(n_per_class, image_size, image_size, 3))
+        rows = slice(k * n_per_class, (k + 1) * n_per_class)
+        images[rows] = base + 0.3 * _PALETTE[k] + noise.astype(np.float32)
+        labels[rows] = k
     order = rng.permutation(n)
     return Dataset(images[order], labels[order], class_count, split)
 
@@ -219,15 +225,7 @@ def load_synth_manifest(path):
     image_size and out (output path for the rendered dataset)."""
     with open(path) as f:
         raw = json.load(f)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: manifest must be a JSON object")
-    known = {"class_count", "n_per_class", "seed", "image_size", "out"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown manifest keys: {', '.join(unknown)}")
-    for key in ("class_count", "n_per_class", "seed"):
-        if key not in raw:
-            raise ConfigError(f"manifest missing required key {key!r}")
+    check_keys(raw, "manifest", ("class_count", "n_per_class", "seed"), ("image_size", "out"))
     if not isinstance(raw.get("out", ""), (str, type(None))):
         raise ConfigError(f"manifest out must be a path string or null, got {raw['out']!r}")
     return raw
@@ -244,11 +242,21 @@ def load_dataset_npz(path):
     class_count that is not a scalar, or any value that Dataset refuses
     raises DataFormatError naming the file and the key."""
     keys = ("images", "labels", "class_count", "split")
-    with np.load(path, allow_pickle=False) as z:
-        missing = [k for k in keys if k not in z.files]
-        if missing:
-            raise DataFormatError(f"{path}: lacks {', '.join(missing)}")
-        images, labels, class_count, split = (z[k] for k in keys)
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            arrays = {k: z[k] for k in keys if k in z.files}
+    except FileNotFoundError:
+        raise
+    except Exception as e:
+        # numpy and zipfile report a damaged file with many exception types
+        # (BadZipFile, ValueError, EOFError, ...), and a member's CRC is
+        # checked only as it is read, so the whole read is inside the try
+        raise DataFormatError(f"{path}: not a readable dataset npz "
+                              f"({type(e).__name__}: {e})") from None
+    missing = [k for k in keys if k not in arrays]
+    if missing:
+        raise DataFormatError(f"{path}: lacks {', '.join(missing)}")
+    images, labels, class_count, split = (arrays[k] for k in keys)
     if class_count.ndim != 0:
         raise DataFormatError(f"{path}: class_count must be a positive integer, "
                               f"got {class_count!r}")

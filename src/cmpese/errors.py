@@ -49,6 +49,29 @@ def require_bool(key, value):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
+def require_choice(key, value, choices):
+    """Refuse a setting that is not one of ``choices``. The test compares by
+    equality, so an unhashable value is refused too, not a TypeError."""
+    choices = list(choices)
+    if value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}; expected one of {', '.join(choices)}")
+
+
+def check_keys(obj, section, required=(), optional=(), error=ConfigError):
+    """Refuse ``obj`` unless it is a JSON object that holds every key of
+    ``required`` and no key outside ``required`` and ``optional``. The
+    messages name ``section`` and the keys; ``error`` builds the exception
+    from a message."""
+    if not isinstance(obj, dict):
+        raise error(f"{section} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise error(f"unknown {section} keys: {', '.join(unknown)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise error(f"{section} requires {', '.join(missing)}")
+
+
 def from_dict(cls, d, section):
     """Build the dataclass ``cls`` from ``d``, the JSON object of config
     section ``section``.
@@ -59,16 +82,9 @@ def from_dict(cls, d, section):
     the same way. Every value check is the dataclass's own
     (``__post_init__``); ``dataclasses.asdict`` is the inverse.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be an object, got {d!r}")
     by_name = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(d) - set(by_name))
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
-    missing = [name for name, f in by_name.items() if name not in d
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"{section} requires {', '.join(missing)}")
+    check_keys(d, section, [name for name, f in by_name.items()
+                            if f.default is MISSING and f.default_factory is MISSING], by_name)
     kwargs = {}
     for key, value in d.items():
         sub = by_name[key].default_factory

@@ -30,7 +30,7 @@ from .attention import (
     make_attention_unit,
     recalibrate_and_add,
 )
-from .errors import ConfigError, ShapeError, from_dict, require_int
+from .errors import ConfigError, ShapeError, from_dict, require_choice, require_int
 from .layers import BatchNorm2d, Conv2d, Linear, Module
 
 
@@ -59,10 +59,8 @@ class NetworkSpec:
     attention: AttentionConfig = field(default_factory=AttentionConfig)
 
     def __post_init__(self):
-        if self.family not in ("preact-resnet", "wrn"):
-            raise ConfigError(f"unknown family {self.family!r}; expected preact-resnet or wrn")
-        if self.block not in ("basic", "bottleneck", "auto"):
-            raise ConfigError(f"unknown block kind {self.block!r}")
+        require_choice("family", self.family, ("preact-resnet", "wrn"))
+        require_choice("block", self.block, ("basic", "bottleneck", "auto"))
         for key in ("depth", "widen_factor", "num_classes"):
             require_int(key, getattr(self, key), 1)
         if self.family == "preact-resnet" and self.widen_factor != 1:

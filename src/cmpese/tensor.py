@@ -262,17 +262,44 @@ def _released(g):
     raise GraphReleasedError()
 
 
-def _result(data, parents, backward_fn, name=None):
-    """Wrap an op result. It requires grad when grad is enabled and an input
-    does, and then links as parents exactly the inputs that require grad."""
+def _result(data, name, *vjps):
+    """Wrap an op result; the one place where the graph rule lives.
+
+    ``vjps`` are ``(input, fn)`` pairs in the op's parent order, where
+    ``fn(g)`` is that input's gradient given the output's gradient ``g``.
+    The result requires grad when grad is enabled and an input does. It then
+    links as parents exactly the inputs that require grad, and its backward
+    adds each of their products to its input, last input first: a conv's
+    weight gradient is made and kept before the larger input gradient is, and
+    batch_norm's x product runs after its beta and gamma sums.
+    """
     if _finite_checks and not np.all(np.isfinite(data)):
         raise NonFiniteError("non-finite forward value", name)
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, name=name)
-    if requires:
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward_fn
+    live = [pair for pair in vjps if pair[0].requires_grad] if _grad_enabled else None
+    out = Tensor(data, requires_grad=bool(live), name=name)
+    if live:
+        out._parents = tuple([p for p, _ in live])
+        live.reverse()
+
+        def backward(g):
+            for p, fn in live:
+                p.accumulate_grad(fn(g))
+
+        out._backward = backward
     return out
+
+
+def _once_per_gradient(fn):
+    """``fn`` memoized on the identity of its gradient argument: the products
+    of one op, called with the same ``g``, share one ``fn(g)``."""
+    last = [None, None]
+
+    def shared(g):
+        if last[0] is not g:
+            last[:] = g, fn(g)
+        return last[1]
+
+    return shared
 
 
 def _sum_leading(x, axes, y=None, keepdims=False):
@@ -343,47 +370,23 @@ def _sum_to(grad, shape, y=None):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_sum_to(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_sum_to(g, b.shape))
-
-    return _result(data, (a, b), backward, "add")
+    return _result(a.data + b.data, "add",
+                   (a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(g, b.shape)))
 
 
 def mul(a, b):
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_sum_to(g, a.shape, b.data))
-        if b.requires_grad:
-            b.accumulate_grad(_sum_to(g, b.shape, a.data))
-
-    return _result(data, (a, b), backward, "mul")
+    return _result(a.data * b.data, "mul", (a, lambda g: _sum_to(g, a.shape, b.data)),
+                   (b, lambda g: _sum_to(g, b.shape, a.data)))
 
 
 def scale(a, c):
     """Multiply by a python scalar, without dtype promotion."""
     c = a.data.dtype.type(c)
-    data = a.data * c
-
-    def backward(g):
-        a.accumulate_grad(g * c)
-
-    return _result(data, (a,), backward, "scale")
+    return _result(a.data * c, "scale", (a, lambda g: g * c))
 
 
 def relu(a):
-    data = np.maximum(a.data, 0)
-
-    def backward(g):
-        a.accumulate_grad(g * (a.data > 0))
-
-    return _result(data, (a,), backward, "relu")
+    return _result(np.maximum(a.data, 0), "relu", (a, lambda g: g * (a.data > 0)))
 
 
 def sigmoid(a):
@@ -397,11 +400,7 @@ def sigmoid(a):
     one = x.dtype.type(1)
     zero = x.dtype.type(0)
     np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
-
-    def backward(g):
-        a.accumulate_grad(g * out * (1.0 - out))
-
-    return _result(out, (a,), backward, "sigmoid")
+    return _result(out, "sigmoid", (a, lambda g: g * out * (1.0 - out)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,37 +409,20 @@ def sigmoid(a):
 
 def reshape(a, shape):
     old = a.shape
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        a.accumulate_grad(g.reshape(old))
-
-    return _result(data, (a,), backward, "reshape")
+    return _result(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(old)))
 
 
 def transpose(a, axes):
     inv = np.argsort(axes)
-    data = np.transpose(a.data, axes)
-
-    def backward(g):
-        a.accumulate_grad(np.transpose(g, inv))
-
-    return _result(data, (a,), backward, "transpose")
+    return _result(np.transpose(a.data, axes), "transpose", (a, lambda g: np.transpose(g, inv)))
 
 
 def stack_rows(a, b):
     """Stack two (N, C) vectors into an (N, 2, C) map, first row = a."""
     if a.shape != b.shape:
         raise ShapeError("stack_rows", f"row lengths differ: {a.shape} vs {b.shape}", axis=1)
-    data = np.stack([a.data, b.data], axis=1)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g[:, 0])
-        if b.requires_grad:
-            b.accumulate_grad(g[:, 1])
-
-    return _result(data, (a, b), backward, "stack_rows")
+    return _result(np.stack([a.data, b.data], axis=1), "stack_rows",
+                   (a, lambda g: g[:, 0]), (b, lambda g: g[:, 1]))
 
 
 def mean_over(a, axes, keepdims=False):
@@ -448,24 +430,20 @@ def mean_over(a, axes, keepdims=False):
     data = _mean_leading(a.data, axes, keepdims=keepdims)
     inv = a.data.dtype.type(1.0 / math.prod(a.shape[ax] for ax in axes))
 
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        a.accumulate_grad(np.broadcast_to(g * inv, a.shape))
+    def grad_a(g):
+        return np.broadcast_to((g if keepdims else np.expand_dims(g, axes)) * inv, a.shape)
 
-    return _result(data, (a,), backward, "mean")
+    return _result(data, "mean", (a, grad_a))
 
 
 def sum_over(a, axes, keepdims=False):
     axes = tuple(axes)
     data = _sum_leading(a.data, axes, keepdims=keepdims)
 
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        a.accumulate_grad(np.broadcast_to(g, a.shape))
+    def grad_a(g):
+        return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape)
 
-    return _result(data, (a,), backward, "sum")
+    return _result(data, "sum", (a, grad_a))
 
 
 # ---------------------------------------------------------------------------
@@ -479,19 +457,11 @@ def linear(x, w, bias=None):
             "linear", f"input width {x.shape[-1]} != weight inner dim {w.shape[1]}", axis=1
         )
     data = x.data @ w.data.T
+    vjps = [(x, lambda g: g @ w.data), (w, lambda g: g.T @ x.data)]
     if bias is not None:
         data = data + bias.data
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            w.accumulate_grad(g.T @ x.data)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _result(data, parents, backward, "linear")
+        vjps.append((bias, lambda g: g.sum(axis=0)))
+    return _result(data, "linear", *vjps)
 
 
 def dual_linear(h_a, h_b, w):
@@ -511,18 +481,14 @@ def dual_linear(h_a, h_b, w):
     w_b = np.ascontiguousarray(w.data[:, r:])
     data = h_a.data @ w_a.T + h_b.data @ w_b.T
 
-    def backward(g):
-        if h_a.requires_grad:
-            h_a.accumulate_grad(g @ w_a)
-        if h_b.requires_grad:
-            h_b.accumulate_grad(g @ w_b)
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            gw[:, :r] = g.T @ h_a.data
-            gw[:, r:] = g.T @ h_b.data
-            w.accumulate_grad(gw)
+    def grad_w(g):
+        gw = np.empty_like(w.data)
+        gw[:, :r] = g.T @ h_a.data
+        gw[:, r:] = g.T @ h_b.data
+        return gw
 
-    return _result(data, (h_a, h_b, w), backward, "dual_linear")
+    return _result(data, "dual_linear",
+                   (h_a, lambda g: g @ w_a), (h_b, lambda g: g @ w_b), (w, grad_w))
 
 
 # Output rows per im2col block. One block is at most _SLICE_ROWS x kh*kw*Cin
@@ -648,38 +614,38 @@ def conv2d(x, w, stride=1, padding=0):
         for rows, cols in blocks():
             np.matmul(cols, w_flat, out=out[rows])
 
-    def backward(g):
+    def grad_w(g):
         g_flat = g.reshape(n * ho * wo, cout)
-        if w.requires_grad:
-            gw = functools.reduce(
-                np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
-            w.accumulate_grad(gw.reshape(w.shape))
-        if x.requires_grad:
-            if flat and min(ho, wo) >= _FLAT_DX_MIN:
-                # g sits in the top-left corner of a zero grid, so grid row r
-                # holds the gradient of the output that tap (i, j) computed
-                # from padded row r + i*wp + j, and every other row is zero
-                g_grid = np.zeros((n, hp, wp, cout), dtype=dtype)
-                g_grid[:, :ho, :wo] = g
-                g_grid = g_grid.reshape(n * hp * wp, cout)
-                gxp = np.zeros(xp.shape, dtype=dtype)
-                gx_grid = gxp.reshape(n * hp * wp, cin)
-                for off, w_tap in taps:
-                    _BLAS_GEMM(gx_grid[off:], g_grid[:len(g_grid) - off], w_tap.T, 1)
-                del g_grid
-            else:
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        # the padded-input positions that tap (i, j) reads
-                        view = gxp[:, i : i + stride * ho : stride,
-                                   j : j + stride * wo : stride, :]
-                        view += (g_flat @ w.data[i, j].T).reshape(n, ho, wo, cin)
-            if padding > 0:
-                gxp = gxp[:, padding : padding + h, padding : padding + wd, :]
-            x.accumulate_grad(gxp)
+        gw = functools.reduce(np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
+        return gw.reshape(w.shape)
 
-    return _result(data, (x, w), backward, "conv2d")
+    def grad_x(g):
+        if flat and min(ho, wo) >= _FLAT_DX_MIN:
+            # g sits in the top-left corner of a zero grid, so grid row r
+            # holds the gradient of the output that tap (i, j) computed
+            # from padded row r + i*wp + j, and every other row is zero
+            g_grid = np.zeros((n, hp, wp, cout), dtype=dtype)
+            g_grid[:, :ho, :wo] = g
+            g_grid = g_grid.reshape(n * hp * wp, cout)
+            gxp = np.zeros(xp.shape, dtype=dtype)
+            gx_grid = gxp.reshape(n * hp * wp, cin)
+            for off, w_tap in taps:
+                _BLAS_GEMM(gx_grid[off:], g_grid[:len(g_grid) - off], w_tap.T, 1)
+            del g_grid
+        else:
+            g_flat = g.reshape(n * ho * wo, cout)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    # the padded-input positions that tap (i, j) reads
+                    view = gxp[:, i : i + stride * ho : stride,
+                               j : j + stride * wo : stride, :]
+                    view += (g_flat @ w.data[i, j].T).reshape(n, ho, wo, cin)
+        if padding > 0:
+            gxp = gxp[:, padding : padding + h, padding : padding + wd, :]
+        return gxp
+
+    return _result(data, "conv2d", (x, grad_x), (w, grad_w))
 
 
 def global_avg_pool(x):
@@ -711,16 +677,9 @@ def channel_scale_add(s, u, x):
     s4 = s.data.reshape(n, 1, 1, c)
     data = s4 * u.data
     data += x.data
-
-    def backward(g):
-        if s.requires_grad:
-            s.accumulate_grad(_sum_to(g, s4.shape, u.data).reshape(s.shape))
-        if u.requires_grad:
-            u.accumulate_grad(g * s4)
-        if x.requires_grad:
-            x.accumulate_grad(g)
-
-    return _result(data, (s, u, x), backward, "channel_scale_add")
+    return _result(data, "channel_scale_add",
+                   (s, lambda g: _sum_to(g, s4.shape, u.data).reshape(s.shape)),
+                   (u, lambda g: g * s4), (x, lambda g: g))
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
@@ -787,33 +746,34 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         buf[:, :pad] = buf[:, -pad:] = 0
         buf[:, :, :pad] = buf[:, :, -pad:] = 0
 
-    def backward(g):
-        if relu:
-            # multiply, not np.where: a masked negative gradient stays -0.0
-            g = g * (data > 0)
+    @_once_per_gradient
+    def masked(g):
+        # multiply, not np.where: a masked negative gradient stays -0.0
+        return g * (data > 0) if relu else g
+
+    @_once_per_gradient
+    def normalized(g):
         # xn is recomputed from the input the graph holds, not saved
         xn = _by_channel(np.subtract, x.data, mean)
-        _by_channel(np.multiply, xn, inv_std, out=xn)
-        if beta.requires_grad:
-            beta.accumulate_grad(_sum_leading(g, axes))
-        if gamma.requires_grad:
-            gamma.accumulate_grad(_sum_leading(g, axes, xn))
-        if not x.requires_grad:
-            return
+        return _by_channel(np.multiply, xn, inv_std, out=xn)
+
+    def grad_x(g):
         if not training:
-            x.accumulate_grad(g * gamma.data * inv_std)
-            return
-        # inv_std * (gxn - mean(gxn) - xn * mean(gxn * xn)), in place
-        gx = _by_channel(np.multiply, g, gamma.data)
+            return masked(g) * gamma.data * inv_std
+        # inv_std * (gxn - mean(gxn) - xn * mean(gxn * xn)), in place; x's
+        # product runs last, so it may write over xn
+        xn = normalized(g)
+        gx = _by_channel(np.multiply, masked(g), gamma.data)
         gm = _mean_leading(gx, axes)
         gv = _mean_leading(gx, axes, xn)
         _by_channel(np.subtract, gx, gm, out=gx)
         _by_channel(np.multiply, xn, gv, out=xn)
         gx -= xn
-        _by_channel(np.multiply, gx, inv_std, out=gx)
-        x.accumulate_grad(gx)
+        return _by_channel(np.multiply, gx, inv_std, out=gx)
 
-    out = _result(data, (x, gamma, beta), backward, "batch_norm")
+    out = _result(data, "batch_norm", (x, grad_x),
+                  (gamma, lambda g: _sum_leading(masked(g), axes, normalized(g))),
+                  (beta, lambda g: _sum_leading(masked(g), axes)))
     out.padded = buf if pad else None
     return out
 
@@ -828,9 +788,9 @@ def cross_entropy(logits, labels):
     log_probs = (z - zmax) - np.log(sez)
     data = np.asarray(-log_probs[np.arange(n), labels].mean(), dtype=z.dtype)
 
-    def backward(g):
+    def grad_logits(g):
         probs = ez / sez
         probs[np.arange(n), labels] -= 1
-        logits.accumulate_grad(g * probs / z.dtype.type(n))
+        return g * probs / z.dtype.type(n)
 
-    return _result(data, (logits,), backward, "cross_entropy")
+    return _result(data, "cross_entropy", (logits, grad_logits))

@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import MixupConfig, augment_batch, iterate_minibatches, mixup_batch
 from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged, \
-    from_dict, require_bool, require_int, require_number
+    from_dict, require_bool, require_choice, require_int, require_number
 from .network import spec_to_dict
 from .tensor import Tensor, no_grad
 
@@ -90,9 +90,7 @@ def train_config_from_dict(d):
     if isinstance(d, dict) and "preset" in d:
         d = dict(d)
         preset = d.pop("preset")
-        names = sorted(PRESETS)    # a list: an unhashable preset is refused, not a TypeError
-        if preset not in names:
-            raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(names)}")
+        require_choice("preset", preset, sorted(PRESETS))
         d = {**PRESETS[preset], **d}
     return from_dict(TrainConfig, d, "train")
 

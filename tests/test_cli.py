@@ -12,6 +12,8 @@ import pytest
 from cmpese import cli
 from cmpese.data import load_dataset_npz, save_dataset_npz, synth_dataset
 
+from test_data import damage_npz
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -266,6 +268,23 @@ def test_data_with_another_class_count_than_the_checkpoint_fails_cleanly(
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "class_count 4" in captured.err and "num_classes is 2" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("how", ["truncated", "flipped", "not-npz"])
+def test_a_damaged_npz_fails_cleanly_naming_its_path(trained_run, tmp_path, capsys,
+                                                     command, how):
+    _, out_dir, _ = trained_run
+    bad = str(damage_npz(tmp_path / "bad.npz", how))
+    if command == "train":
+        raw = json.loads(open(experiment_config(tmp_path)).read())
+        argv = ["train", write_json(tmp_path / "exp.json",
+                                    {**raw, "data": {"kind": "npz", "path": bad}})]
+    else:
+        argv = ["eval", str(out_dir / "last.ckpt"), bad]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
 
 def test_export_attention_writes_stats_and_maps(trained_run, capsys):

@@ -2,6 +2,7 @@
 and the synthetic corpus."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ def test_unknown_normalization_rejected(tmp_path):
         load_cifar_binary(path, classes=10, normalization="whiten")
 
 
+@pytest.mark.parametrize("normalization, bound", [("scale255", 1.3), ("meanstd", 3.1)])
+def test_cifar_load_keeps_one_float32_copy_of_the_images(tmp_path, normalization, bound):
+    # the peak, in multiples of the float32 images: the decoded images and
+    # the file's bytes (a quarter as many), or for meanstd the images and the
+    # float64 deviations channel_stats takes the std of (twice as many); the
+    # loader that concatenated one file and normalized out of place peaked
+    # at 3.25x and 4.26x
+    path = tmp_path / "batch.bin"
+    random_batch_file(path, n=256, seed=4)
+    raw = np.fromfile(path, dtype=np.uint8).reshape(256, 3073)
+    images = raw[:, 1:].reshape(256, 3, 32, 32).transpose(0, 2, 3, 1).astype(np.float32)
+    tracemalloc.start()
+    try:
+        ds, stats = load_cifar_binary(path, classes=10, normalization=normalization)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * images.nbytes
+    if normalization == "meanstd":
+        mean, std = channel_stats(images)
+        np.testing.assert_array_equal(stats[0], mean)
+        np.testing.assert_array_equal(ds.images, (images - mean) / std)
+    else:
+        np.testing.assert_array_equal(ds.images, images / np.float32(255.0))
+    assert ds.images.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
@@ -340,6 +368,38 @@ def test_npz_with_a_bad_key_is_a_named_format_error(tmp_path, key, edit):
     path = _edit_npz(tmp_path / "bad.npz", **edit)
     with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + key):
         load_dataset_npz(path)
+
+
+def damage_npz(path, how):
+    """Write a saved dataset to ``path``, damaged: ``truncated`` keeps its
+    first half, ``flipped`` inverts one byte of the images' values (zipfile
+    finds it by CRC only when the member is read), ``not-npz`` is text."""
+    if how == "not-npz":
+        path.write_text("images, labels\n")
+        return path
+    ds = synth_dataset(class_count=2, n_per_class=3, image_size=4, seed=15)
+    save_dataset_npz(ds, path)
+    raw = bytearray(path.read_bytes())
+    if how == "truncated":
+        del raw[len(raw) // 2:]
+    else:
+        raw[raw.index(ds.images.tobytes()) + 5] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("how, says", [("truncated", "not a zip file"),
+                                       ("flipped", "Bad CRC-32 for file 'images.npy'"),
+                                       ("not-npz", "pickled")])
+def test_a_damaged_npz_is_a_named_format_error(tmp_path, how, says):
+    path = damage_npz(tmp_path / "bad.npz", how)
+    with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + re.escape(says)):
+        load_dataset_npz(path)
+
+
+def test_a_missing_npz_is_still_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_dataset_npz(tmp_path / "absent.npz")
 
 
 # a Dataset built in Python is checked as a loaded one is, so bad values never

@@ -761,6 +761,134 @@ def test_an_input_that_needs_no_grad_stays_off_the_graph(op):
         assert all(t.grad is not None for t in inputs if t.requires_grad)
 
 
+class VjpSpy:
+    """Stands in for tensor._result and counts, per op call and input
+    position, the calls to the gradient functions the op hands it."""
+
+    def __init__(self, result):
+        self.result, self.counts = result, []
+
+    def __call__(self, data, name, *vjps):
+        counts = [0] * len(vjps)
+        self.counts.append(counts)
+
+        def counted(i, fn):
+            def call(g):
+                counts[i] += 1
+                return fn(g)
+            return call
+
+        return self.result(data, name, *((p, counted(i, fn)) for i, (p, fn) in enumerate(vjps)))
+
+
+# every op with more than one input: (input shapes, the call that applies it)
+MULTI_INPUT_OPS = {
+    **GRAPH_OPS,
+    "add": ([(3, 4), (4,)], T.add),
+    "mul": ([(3, 4), (3, 1)], T.mul),
+    "stack_rows": ([(3, 4), (3, 4)], T.stack_rows),
+    "dual_linear": ([(3, 2), (3, 2), (5, 4)], T.dual_linear),
+    "batch_norm_eval": ([(2, 3, 3, 4), (4,), (4,)], lambda x, g, b: T.batch_norm(
+        x, g, b, Tensor(np.zeros(4)), Tensor(np.ones(4)), training=False, relu=True)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MULTI_INPUT_OPS))
+def test_no_gradient_function_runs_for_a_frozen_input(op, monkeypatch):
+    shapes, call = MULTI_INPUT_OPS[op]
+    for frozen in range(len(shapes)):
+        spy = VjpSpy(T._result)
+        monkeypatch.setattr(T, "_result", spy)
+        inputs = [Tensor(RNG.standard_normal(shape), requires_grad=i != frozen)
+                  for i, shape in enumerate(shapes)]
+        out = call(*inputs)
+        monkeypatch.undo()
+        out.backward(RNG.standard_normal(out.shape))
+        assert spy.counts == [[int(i != frozen) for i in range(len(shapes))]]
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_a_frozen_conv_input_makes_no_input_gradient_gemm(flat_conv):
+    w = Tensor(RNG.standard_normal((3, 3, 4, 4), dtype=np.float32), requires_grad=True)
+    for x_grad, dx_gemms in ((False, 0), (True, 9)):
+        x = Tensor(RNG.standard_normal((2, 5, 5, 4), dtype=np.float32), requires_grad=x_grad)
+        y = T.conv2d(x, w, padding=1)
+        flat_conv.calls = 0
+        y.backward(np.ones(y.shape, np.float32))
+        assert flat_conv.calls == dx_gemms
+
+
+def test_a_frozen_batch_norm_input_leaves_the_x_branch_unrun(monkeypatch):
+    # in training mode only x's product takes the two means of gamma * g
+    means = []
+    mean_leading = T._mean_leading
+    for x_grad in (False, True):
+        x = Tensor(RNG.standard_normal((2, 3, 3, 4)), requires_grad=x_grad)
+        gamma, beta = (Tensor(RNG.standard_normal(4), requires_grad=True) for _ in range(2))
+        y = T.batch_norm(x, gamma, beta, Tensor(np.zeros(4)), Tensor(np.ones(4)),
+                         training=True, relu=True)
+        monkeypatch.setattr(T, "_mean_leading", lambda *a, **k: means.append(1) or
+                            mean_leading(*a, **k))
+        y.backward(RNG.standard_normal(y.shape))
+        monkeypatch.undo()
+        assert len(means) == (2 if x_grad else 0)
+        assert gamma.grad is not None and beta.grad is not None
+        means.clear()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_masks_the_gradient_and_makes_xn_once(training, monkeypatch):
+    runs = []
+    once = T._once_per_gradient
+
+    def counted(fn):
+        def run(g):
+            runs.append(fn.__name__)
+            return fn(g)
+        return once(run)
+
+    monkeypatch.setattr(T, "_once_per_gradient", counted)
+    x, gamma, beta = (Tensor(RNG.standard_normal(shape), requires_grad=True)
+                      for shape in ((2, 3, 3, 4), (4,), (4,)))
+    y = T.batch_norm(x, gamma, beta, Tensor(np.zeros(4)), Tensor(np.ones(4)),
+                     training=training, relu=True)
+    y.backward(RNG.standard_normal(y.shape))
+    assert sorted(runs) == ["masked", "normalized"]
+
+
+@pytest.mark.parametrize("op, products", [
+    ("mul", lambda g, x: (g * x.data, g * x.data)),
+    ("add", lambda g, x: (g, g)),
+    ("stack_rows", lambda g, x: (g[:, 0], g[:, 1])),
+    ("dual_linear", lambda g, x, w: (g @ np.ascontiguousarray(w.data[:, :2]),
+                                     g @ np.ascontiguousarray(w.data[:, 2:]))),
+])
+def test_an_input_passed_twice_gets_the_sum_of_its_two_products(op, products):
+    x = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+    args = (x, x)
+    if op == "dual_linear":
+        args += (Tensor(RNG.standard_normal((5, 4)), requires_grad=True),)
+    out = getattr(T, op)(*args)
+    g = RNG.standard_normal(out.shape)
+    out.backward(g)
+    first, second = products(g, *args[1:])
+    np.testing.assert_array_equal(x.grad, first + second)
+
+
+def test_result_adds_the_products_last_input_first():
+    # the rule two ops rely on: conv2d makes its weight gradient and lets it
+    # go before the larger input gradient exists (running dX first lifted
+    # test_backward_peak_stays_near_the_forward_graph[none] past its bound),
+    # and batch_norm's x product may write over the xn its gamma sum reads
+    order = []
+    inputs = [Tensor(np.zeros(2), requires_grad=True, name=n) for n in "abc"]
+    out = T._result(np.zeros(2), "probe", *(
+        (t, lambda g, t=t: order.append(t.name) or g) for t in inputs))
+    out.backward(np.ones(2))
+    assert order == ["c", "b", "a"]
+    assert all(np.array_equal(t.grad, np.ones(2)) for t in inputs)
+
+
 # ---------------------------------------------------------------------------
 # backward frees the graph it walks
 # ---------------------------------------------------------------------------
