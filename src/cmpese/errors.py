@@ -128,3 +128,18 @@ class GraphReleasedError(RuntimeError, CmpeSeError):
         if tensor_name:
             message = f"{message}: tensor '{tensor_name}'"
         super().__init__(message)
+
+
+class ActivationReleasedError(RuntimeError, CmpeSeError):
+    """A released pre-activation's ``data`` or ``padded`` was read.
+
+    Its forward readers are done with it; backward rebuilds it for its own
+    readers (see ``Tensor.release``).
+    """
+
+    def __init__(self, tensor_name=None):
+        self.tensor_name = tensor_name
+        message = "read of a pre-activation released after its forward readers"
+        if tensor_name:
+            message = f"{message}: tensor '{tensor_name}'"
+        super().__init__(message)

@@ -166,14 +166,20 @@ class ResidualBlock(Module):
         """Returns (residual branch output, shortcut tensor). The shortcut
         is the raw input for identity blocks, else the projected first
         pre-activation — the tensor whose squeeze competes with the branch.
-        Rebinding ``h`` frees each activation, without a graph, before the
-        next is built."""
+
+        Once its conv (and, for the first, the projection) has read it, each
+        pre-activation is released: a graph then holds none of them, and
+        backward rebuilds each for its readers (``Tensor.release``). Without
+        a graph nothing is released; rebinding ``h`` and dropping ``pre``
+        free each activation before the next is built."""
         h, x_id = x, x
         for i, (bn, conv) in enumerate(self.units):
             h = bn(h, relu=True, pad=conv.padding)
             if i == 0 and self.proj is not None:
                 x_id = self.proj(h)
-            h = conv(h)
+            pre, h = h, conv(h)
+            pre.release()
+            del pre
         return h, x_id
 
     def forward(self, x):

@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .errors import GraphReleasedError, NonFiniteError, ShapeError
+from .errors import ActivationReleasedError, GraphReleasedError, NonFiniteError, ShapeError
 
 # When False, ops return detached results (inference mode).
 _grad_enabled = True
@@ -152,10 +152,13 @@ class Tensor:
 
     ``padded`` is None except on the output of ``batch_norm(..., pad=p)``:
     there it is the zero-bordered array whose interior view is ``data``,
-    which ``conv2d`` with the same padding reads in place of its own copy.
+    which ``conv2d`` with the same padding reads (``padded_by``) in place of
+    its own copy. A ``batch_norm`` output in a graph can also be rebuilt, so
+    that ``release`` may drop its arrays between forward and backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "padded")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "padded",
+                 "_rebuild")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
@@ -165,6 +168,41 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self.padded = None
+        self._rebuild = None
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: data and padded after release()
+        if name in ("data", "padded"):
+            raise ActivationReleasedError(self.name)
+        raise AttributeError(name)
+
+    def release(self):
+        """Drop ``data`` and ``padded`` until backward reads them again.
+
+        Only a ``batch_norm`` output in a graph drops anything, since only it
+        can be rebuilt; any other tensor keeps its arrays. Its readers'
+        gradient functions call ``padded_by``, which rebuilds both with the
+        forward's bits, once for all of them, and the rebuild is freed with
+        the graph after its batch norm's backward. Until then, reading
+        ``data`` or ``padded`` raises ``ActivationReleasedError``.
+        """
+        if self._rebuild is not None:
+            del self.data, self.padded
+            self._rebuild.arrays = None
+
+    def padded_by(self, pad):
+        """``data`` zero-padded by ``pad`` on both sides of its two spatial
+        axes, when that array exists: ``data`` itself for pad 0, ``padded``
+        when it has the padded shape, else None. A released tensor is
+        rebuilt first (see ``release``)."""
+        if self._rebuild is not None:
+            self.data, self.padded = self._rebuild()
+        if pad == 0:
+            return self.data
+        n, h, w, c = self.data.shape
+        if self.padded is not None and self.padded.shape == (n, h + 2 * pad, w + 2 * pad, c):
+            return self.padded
+        return None
 
     @property
     def shape(self):
@@ -191,12 +229,14 @@ class Tensor:
         The first gradient is kept without a copy when it is already a
         C-contiguous array of the right dtype; later ones are added out of
         place. Nothing writes into a stored gradient, so one array may be the
-        gradient of several tensors.
+        gradient of several tensors. A released tensor is rebuilt here at the
+        latest, for its dtype: its own backward reads it next anyway.
         """
+        dtype = self.padded_by(0).dtype
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype, order="C")
+            self.grad = np.asarray(g, dtype=dtype, order="C")
         else:
-            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
+            self.grad = (self.grad + g).astype(dtype, copy=False)
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this tensor through its graph.
@@ -300,6 +340,22 @@ def _once_per_gradient(fn):
         return last[1]
 
     return shared
+
+
+class _Rebuild:
+    """A tensor's ``(data, padded)`` pair: the forward's, until
+    ``Tensor.release`` drops it, then the one ``make()`` builds on first
+    use, which every later reader shares."""
+
+    __slots__ = ("make", "arrays")
+
+    def __init__(self, make, arrays):
+        self.make, self.arrays = make, arrays
+
+    def __call__(self):
+        if self.arrays is None:
+            self.arrays = self.make()
+        return self.arrays
 
 
 def _sum_leading(x, axes, y=None, keepdims=False):
@@ -537,6 +593,9 @@ def conv2d(x, w, stride=1, padding=0):
     padded shape (N, H+2p, W+2p, Cin): then that buffer, whose interior is
     ``x.data`` and whose border is zero, is the padded input, with no copy.
     A buffer of any other shape was padded for another conv and is ignored.
+    The weight gradient reads the padded input again through
+    ``x.padded_by(p)``, which rebuilds it if x was released, unless it is
+    the conv's own copy: only that copy (the stem's, say) is kept for it.
 
     The flat input gradient adds the same per-tap products in the same order
     as shift-and-GEMM, so it gives the same bits as long as BLAS does not
@@ -563,31 +622,27 @@ def conv2d(x, w, stride=1, padding=0):
             "conv2d",
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wd}",
         )
-    xp = x.data
-    if padding > 0:
-        shape = (n, h + 2 * padding, wd + 2 * padding, cin)
-        if x.padded is not None and x.padded.shape == shape:
-            xp = x.padded
-        else:
-            xp = np.zeros(shape, dtype=x.dtype)
-            xp[:, padding : padding + h, padding : padding + wd, :] = x.data
+    # the conv's own padded copy, or None when it reads x's array
+    copy = None
+    xp = x.padded_by(padding)
+    if xp is None:
+        xp = copy = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
+        copy[:, padding : padding + h, padding : padding + wd, :] = x.data
     w_flat = np.ascontiguousarray(w.data).reshape(kh * kw * cin, cout)
     dtype = np.result_type(xp, w_flat)
-    sn, sh, sw, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, kh, kw, cin),
-        strides=(sn, stride * sh, stride * sw, sh, sw, sc),
-        writeable=False,
-    )
-    hp, wp = xp.shape[1:3]
+    xp_shape, xp_dtype = xp.shape, xp.dtype
+    hp, wp = xp_shape[1:3]
     flat = (_BLAS_GEMM is not None and stride == 1 and kh * kw > 1 and cin > 1
             and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
     kernel = w_flat.reshape(w.shape)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
 
-    def blocks():
+    def blocks(xp):
         """(output rows, im2col block) pairs covering the batch in order."""
+        sn, sh, sw, sc = xp.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xp, shape=(n, ho, wo, kh, kw, cin),
+            strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
         step = max(1, _SLICE_ROWS // (ho * wo))
         for b in range(0, n, step):
             e = min(b + step, n)
@@ -611,12 +666,14 @@ def conv2d(x, w, stride=1, padding=0):
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
     else:
         out = data.reshape(n * ho * wo, cout)
-        for rows, cols in blocks():
+        for rows, cols in blocks(xp):
             np.matmul(cols, w_flat, out=out[rows])
 
     def grad_w(g):
+        # x's own array, rebuilt if x was released, or the copy
+        xp = x.padded_by(padding) if copy is None else copy
         g_flat = g.reshape(n * ho * wo, cout)
-        gw = functools.reduce(np.add, (cols.T @ g_flat[rows] for rows, cols in blocks()))
+        gw = functools.reduce(np.add, (cols.T @ g_flat[rows] for rows, cols in blocks(xp)))
         return gw.reshape(w.shape)
 
     def grad_x(g):
@@ -627,14 +684,14 @@ def conv2d(x, w, stride=1, padding=0):
             g_grid = np.zeros((n, hp, wp, cout), dtype=dtype)
             g_grid[:, :ho, :wo] = g
             g_grid = g_grid.reshape(n * hp * wp, cout)
-            gxp = np.zeros(xp.shape, dtype=dtype)
+            gxp = np.zeros(xp_shape, dtype=dtype)
             gx_grid = gxp.reshape(n * hp * wp, cin)
             for off, w_tap in taps:
                 _BLAS_GEMM(gx_grid[off:], g_grid[:len(g_grid) - off], w_tap.T, 1)
             del g_grid
         else:
             g_flat = g.reshape(n * ho * wo, cout)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(xp_shape, dtype=xp_dtype)
             for i in range(kh):
                 for j in range(kw):
                     # the padded-input positions that tap (i, j) reads
@@ -682,6 +739,36 @@ def channel_scale_add(s, u, x):
                    (u, lambda g: g * s4), (x, lambda g: g))
 
 
+def _centered(x, mean, pad):
+    """``(buf, data)``: ``x - mean`` in a new array ``data``. With ``pad`` it
+    is the interior view of ``buf``, a zeroed (N, H+2p, W+2p, C) array;
+    else ``buf`` is ``data``."""
+    if not pad:
+        buf = _by_channel(np.subtract, x, mean)
+        return buf, buf
+    n, h, wd, c = x.shape
+    buf = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.result_type(x, mean))
+    # x - mean straight into the interior, one image row (W*C values) at a time
+    rows = buf.reshape(n, h + 2 * pad, -1)[:, pad : pad + h, pad * c : (pad + wd) * c]
+    np.subtract(x.reshape(n, h, wd * c), np.tile(mean, wd), out=rows)
+    return buf, buf[:, pad : pad + h, pad : pad + wd]
+
+
+def _scale_shift(buf, inv_std, gamma, beta, relu, pad):
+    """In place over the whole of ``_centered``'s buffer: xn = (x - mean) *
+    inv_std, then xn * gamma + beta, then the ReLU. Wide rows of the whole
+    buffer run faster than the interior's rows."""
+    _by_channel(np.multiply, buf, inv_std, out=buf)
+    _by_channel(np.multiply, buf, gamma, out=buf)
+    _by_channel(np.add, buf, beta, out=buf)
+    if relu:
+        np.maximum(buf, 0, out=buf)
+    if pad:
+        # the shift set the border to max(beta, 0)
+        buf[:, :pad] = buf[:, -pad:] = 0
+        buf[:, :, :pad] = buf[:, :, -pad:] = 0
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, training,
                momentum=0.9, eps=1e-5, relu=False, pad=0):
     """Normalize over all axes but the last; affine scale/shift.
@@ -700,8 +787,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     input) builds that output in the interior of a zeroed (N, H+2p, W+2p, C)
     array: the result's ``data`` is the interior view and its ``padded`` the
     whole array, which a following ``conv2d`` with padding p uses as its
-    padded input. A pre-activation unit ``conv(relu(bn(x)))`` then keeps one
-    copy of its activation instead of three, and builds no other.
+    padded input. A pre-activation unit ``conv(relu(bn(x)))`` then builds one
+    copy of its activation instead of three.
+
+    In a graph, the result can also be rebuilt from ``x``, the mean and
+    1/std, by the forward's own ops in the same order, so with its bits. A
+    caller whose forward readers are done with it may ``release`` it. The
+    graph then holds none of it: its readers' gradient functions rebuild it
+    once and share it, the mask included, and it is freed after this op's
+    backward.
     """
     c = x.shape[-1]
     if gamma.shape != (c,):
@@ -716,15 +810,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     eps = dt(eps)
     # backward needs the mean used here
     mean = _mean_leading(x.data, axes) if training else running_mean.data.copy()
-    if pad:
-        n, h, wd = x.shape[:3]
-        buf = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.result_type(x.data, mean))
-        data = buf[:, pad : pad + h, pad : pad + wd]
-        # x - mean straight into the interior, one image row (W*C values) at a time
-        rows = buf.reshape(n, h + 2 * pad, -1)[:, pad : pad + h, pad * c : (pad + wd) * c]
-        np.subtract(x.data.reshape(n, h, wd * c), np.tile(mean, wd), out=rows)
-    else:
-        buf = data = _by_channel(np.subtract, x.data, mean)
+    buf, data = _centered(x.data, mean, pad)
     if training:
         var = _mean_leading(data, axes, data)   # bitwise x.data.var(axis=axes)
         m = dt(momentum)
@@ -733,23 +819,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     else:
         var = running_var.data
     inv_std = dt(1) / np.sqrt(var + eps)
-    # in place over the whole buffer: xn = (x - mean) * inv_std, then
-    # xn * gamma + beta; wide rows of the whole buffer run faster than the
-    # interior's rows
-    _by_channel(np.multiply, buf, inv_std, out=buf)
-    _by_channel(np.multiply, buf, gamma.data, out=buf)
-    _by_channel(np.add, buf, beta.data, out=buf)
-    if relu:
-        np.maximum(buf, 0, out=buf)
-    if pad:
-        # the shift set the border to max(beta, 0)
-        buf[:, :pad] = buf[:, -pad:] = 0
-        buf[:, :, :pad] = buf[:, :, -pad:] = 0
+    _scale_shift(buf, inv_std, gamma.data, beta.data, relu, pad)
+    padded = buf if pad else None
+
+    def rebuild():
+        buf, data = _centered(x.data, mean, pad)
+        _scale_shift(buf, inv_std, gamma.data, beta.data, relu, pad)
+        return data, (buf if pad else None)
+
+    arrays = _Rebuild(rebuild, (data, padded))
 
     @_once_per_gradient
     def masked(g):
         # multiply, not np.where: a masked negative gradient stays -0.0
-        return g * (data > 0) if relu else g
+        return g * (arrays()[0] > 0) if relu else g
 
     @_once_per_gradient
     def normalized(g):
@@ -774,7 +857,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     out = _result(data, "batch_norm", (x, grad_x),
                   (gamma, lambda g: _sum_leading(masked(g), axes, normalized(g))),
                   (beta, lambda g: _sum_leading(masked(g), axes)))
-    out.padded = buf if pad else None
+    out.padded = padded
+    if out.requires_grad:
+        out._rebuild = arrays
     return out
 
 

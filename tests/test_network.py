@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmpese.attention import AttentionConfig, make_attention_unit
+from cmpese.attention import AttentionConfig, make_attention_unit, recalibrate_and_add
 from cmpese.errors import ConfigError, ShapeError
+from cmpese.gradcheck import gradcheck
 from cmpese.network import (
+    BlockSpec,
     NetworkSpec,
+    ResidualBlock,
     block_units,
     build,
     param_count,
@@ -356,6 +359,96 @@ def test_identity_block_forward_peak_without_a_graph():
         tracemalloc.stop()
     assert y.shape == x.shape
     assert peak - before <= 2.7 * x.data.nbytes
+
+
+def test_identity_block_graph_holds_no_pre_activation():
+    # the same block in training: the graph holds the two conv outputs and
+    # the block output, and backward rebuilds the pre-activations. Holding
+    # the two padded pre-activations too, it held 5.29x the input
+    model = build(wrn(16, 2, mode="folded3x3", t=4), rng=np.random.default_rng(0))
+    blk = model.blocks[1]
+    assert blk.proj is None and blk.spec.in_channels == 32
+    x = Tensor(np.random.default_rng(1).standard_normal((64, 32, 32, 32), dtype=np.float32),
+               requires_grad=True)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y = blk(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert held - before <= 3.2 * x.data.nbytes
+
+
+# an identity block, a stride-2 block whose projection reads the first
+# pre-activation too, and a bottleneck, whose 1x1 units use pad=0
+RELEASING_BLOCKS = {
+    "identity": BlockSpec("basic", 8, 8, 1, AttentionConfig(mode="folded3x3", t=4)),
+    "projection": BlockSpec("basic", 8, 16, 2, AttentionConfig(mode="pairview1x1", t=4)),
+    "bottleneck": BlockSpec("bottleneck", 8, 16, 1, AttentionConfig(mode="se", t=4)),
+}
+
+
+def held_block_forward(blk, x):
+    """``blk.forward`` through the tensor API, releasing nothing."""
+    h, x_id = x, x
+    for i, (bn, conv) in enumerate(blk.units):
+        h = T.batch_norm(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, True,
+                         relu=True, pad=conv.padding)
+        if i == 0 and blk.proj is not None:
+            x_id = T.conv2d(h, blk.proj.weight, stride=blk.proj.stride)
+        h = T.conv2d(h, conv.weight, stride=conv.stride, padding=conv.padding)
+    return recalibrate_and_add(h, x_id, blk.attn)
+
+
+def block_gradients(blk, forward):
+    """The output of ``forward(x)`` and the gradients of x and of every
+    parameter of ``blk`` under a fixed weighting of it."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((4, 8, 8, 8), dtype=np.float32), requires_grad=True)
+    blk.zero_grad()
+    out = forward(x)
+    probe = Tensor(rng.standard_normal(out.shape, dtype=np.float32))
+    T.sum_over(T.mul(out, probe), (0, 1, 2, 3)).backward()
+    return [out.data, x.grad] + [p.grad for p in blk.parameters()]
+
+
+@pytest.mark.parametrize("kind", list(RELEASING_BLOCKS))
+def test_released_block_gradients_are_bitwise_the_held_ones(kind):
+    blk = ResidualBlock(RELEASING_BLOCKS[kind], rng=np.random.default_rng(3))
+    got = block_gradients(blk, blk)
+    want = block_gradients(blk, lambda x: held_block_forward(blk, x))
+    assert len(got) == len(want) and all(g is not None for g in got)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", list(RELEASING_BLOCKS))
+def test_backward_rebuilds_each_pre_activation_once(kind, monkeypatch):
+    # the conv's weight gradient, the projection's and the ReLU mask share
+    # one rebuild; a held pre-activation is not rebuilt
+    blk = ResidualBlock(RELEASING_BLOCKS[kind], rng=np.random.default_rng(3))
+    built = T._centered
+    calls = []
+    monkeypatch.setattr(T, "_centered", lambda *a: calls.append(1) or built(*a))
+    for forward, rebuilds in ((blk, len(blk.units)),
+                              (lambda x: held_block_forward(blk, x), 0)):
+        x = Tensor(np.random.default_rng(5).standard_normal((2, 8, 8, 8), dtype=np.float32),
+                   requires_grad=True)
+        out = forward(x)
+        calls.clear()
+        T.sum_over(out, (0, 1, 2, 3)).backward()
+        assert len(calls) == rebuilds
+
+
+def test_released_projection_block_passes_gradcheck():
+    blk = ResidualBlock(RELEASING_BLOCKS["projection"], rng=np.random.default_rng(6),
+                        dtype=np.float64)
+    x = Tensor(np.random.default_rng(7).standard_normal((2, 4, 4, 8)), requires_grad=True)
+    probe = Tensor(np.random.default_rng(8).standard_normal((2, 2, 2, 16)))
+    params = {"input": x, **dict(blk.named_parameters())}
+    gradcheck(lambda _: T.sum_over(T.mul(blk(x), probe), (0, 1, 2, 3)), params)
 
 
 def test_attention_units_one_per_block():
