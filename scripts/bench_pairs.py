@@ -22,13 +22,15 @@ also holds the ``failed`` and ``attempted`` totals, the runs that gave no
 result line, and the environment line of the first run.
 
 ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``; ``--seeds``
-to 1 up to the number of pairs.
+to 1 up to the number of pairs. On SIGTERM the script stops the running
+benchmark process, removes its temporary directory and exits with 143.
 """
 
 import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -191,5 +193,12 @@ def main(argv=None):
                     for r in out["workloads"].values()) else 1
 
 
+def exit_on_sigterm(signum, frame):
+    """Leave by the normal exit path: ``subprocess.run`` kills the running
+    benchmark process, and the temporary directory is removed."""
+    sys.exit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     sys.exit(main())

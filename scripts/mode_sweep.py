@@ -20,7 +20,7 @@ import numpy as np
 from cmpese.attention import MODE_NAMES, AttentionConfig
 from cmpese.data import synth_dataset
 from cmpese.network import NetworkSpec, build, param_count
-from cmpese.train import TrainConfig, evaluate, train
+from cmpese.train import TrainConfig, train
 
 
 def main():
@@ -55,7 +55,7 @@ def main():
         history = train(model, train_ds, cfg, eval_data=eval_ds,
                         out_dir=os.path.join(args.out, mode))
         elapsed = time.perf_counter() - tick
-        err = evaluate(model, eval_ds)
+        err = history[-1]["eval_err"]
         best_err = min(r["eval_err"] for r in history)
         rows.append({
             "mode": mode, "params": n_params,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, require_int
-from .layers import BatchNorm2d, Linear, Module
+from .layers import BatchNorm2d, Linear, Module, he_normal
 
 
 class AttentionMode(str, Enum):
@@ -96,17 +96,20 @@ def largest_divisor_leq(c, cap):
     return 1
 
 
+def check_fold_shape(c, n, m):
+    """Refuse an (n, m) fold of a 2 x C map unless n*m = 2C and n is even."""
+    if n * m != 2 * c or n % 2 != 0:
+        raise ConfigError(
+            f"fold shape ({n}, {m}) invalid for {c} channels: need n*m = {2 * c} with even n")
+
+
 def resolve_fold_shape(c, fold_n=None, fold_m=None):
     """Pick (n, m) with n*m = 2C and n even (row pairs cover channels in
     blocks of m). Explicitly inconsistent (n, m) is an error. A requested n
     asks for m = 2C // n; m (16 when neither is given) falls back to the
     largest divisor of C not exceeding it."""
     if fold_n is not None and fold_m is not None:
-        if fold_n * fold_m != 2 * c or fold_n % 2 != 0:
-            raise ConfigError(
-                f"fold shape ({fold_n}, {fold_m}) invalid for {c} channels: "
-                f"need n*m = {2 * c} with even n"
-            )
+        check_fold_shape(c, fold_n, fold_m)
         return fold_n, fold_m
     if fold_n is not None:
         fold_m = max(1, 2 * c // fold_n)
@@ -132,10 +135,7 @@ def fold_map(v, n, m):
     batch, two, c = v.shape
     if two != 2:
         raise ShapeError("fold", f"expected a 2-row map, got {two} rows", axis=1)
-    if n * m != 2 * c or n % 2 != 0:
-        raise ConfigError(
-            f"fold shape ({n}, {m}) invalid for {c} channels: need n*m = {2 * c} with even n"
-        )
+    check_fold_shape(c, n, m)
     half = n // 2
     a = T.reshape(v, (batch, 2, half, m))
     b = T.transpose(a, (0, 2, 1, 3))
@@ -218,16 +218,14 @@ class ExcitationUnit(Module):
             raise ConfigError(
                 f"mode {self.mode.value!r} has no folded map; fold_n and fold_m do not apply")
         self.channels = channels
-        rng = rng or np.random.default_rng()
         if spec.kernel is not None:
             kh, kw = spec.kernel
             self.n_kernels = kernel_count(channels, t) if n_kernels is None else n_kernels
             if self.n_kernels < 1:
                 raise ConfigError(f"kernel count must be positive, got {self.n_kernels}")
             self.use_bn = use_bn
-            std = np.sqrt(2.0 / (kh * kw * self.n_kernels))
-            w = rng.standard_normal((kh, kw, 1, self.n_kernels)) * std
-            self.kernels = self.param("kernels", w.astype(dtype), decay=True)
+            w = he_normal(rng, (kh, kw, 1, self.n_kernels), kh * kw * self.n_kernels, dtype)
+            self.kernels = self.param("kernels", w, decay=True)
             if use_bn:
                 self.norm = self.child("norm", BatchNorm2d(1, dtype=dtype))
         if spec.layout == "folded":

@@ -25,9 +25,11 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError, check_keys
+from .errors import DataFormatError, check_keys, read_file, read_json
 
 MAGIC = b"CMPESE01"
+# the sidecar's "format"; load_checkpoint refuses any other
+FORMAT = "cmpese-checkpoint-v1"
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.int64): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
@@ -50,8 +52,7 @@ def save_tensors(path, arrays):
 
 
 def load_tensors(path):
-    with open(path, "rb") as f:
-        buf = f.read()
+    buf = read_file(path, DataFormatError)
     if buf[:8] != MAGIC:
         raise DataFormatError(f"{path}: bad magic {buf[:8]!r}", byte_offset=0)
     pos = 8
@@ -97,7 +98,7 @@ def save_checkpoint(path, model_state, network_dict, velocity=None, epoch=None,
         arrays.update({f"velocity/{k}": v for k, v in velocity.items()})
     save_tensors(path, arrays)
     meta = {
-        "format": "cmpese-checkpoint-v1",
+        "format": FORMAT,
         "epoch": epoch,
         "config_hash": cfg_hash,
         "rng_state": rng_state,
@@ -111,17 +112,16 @@ def load_checkpoint(path):
     """Returns (model_state, velocity, meta).
 
     A sidecar that is not a JSON object holding ``epoch`` (an integer or
-    null), ``rng_state`` and ``network`` (each an object or null) raises
-    DataFormatError naming the sidecar."""
+    null), ``rng_state`` and ``network`` (each an object or null), or whose
+    ``format``, when present, is not FORMAT, raises DataFormatError naming
+    the sidecar."""
     arrays = load_tensors(path)
     sidecar = str(path) + ".json"
-    with open(sidecar, "rb") as f:
-        try:
-            meta = json.load(f)
-        except ValueError as e:
-            raise DataFormatError(f"{sidecar}: not a JSON checkpoint sidecar ({e})") from None
+    meta = read_json(sidecar, DataFormatError)
     check_keys(meta, "sidecar", ("epoch", "rng_state", "network"), ("format", "config_hash"),
                error=lambda message: DataFormatError(f"{sidecar}: {message}"))
+    if meta.get("format", FORMAT) != FORMAT:
+        raise DataFormatError(f"{sidecar}: format must be {FORMAT!r}, got {meta['format']!r}")
     epoch = meta["epoch"]
     if epoch is not None and (type(epoch) is not int or epoch < 0):
         raise DataFormatError(f"{sidecar}: epoch must be a non-negative integer, got {epoch!r}")

@@ -8,7 +8,6 @@ synth-data. Exit codes: 0 success, 1 failure with a message on stderr,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .data import load_cifar_binary, load_dataset_npz, load_synth_manifest, \
     save_dataset_npz, synth_dataset
 from .diagnostics import ascii_heatmap, attention_stats, capture_trace, \
     export_inner_images, stats_to_csv
-from .errors import CmpeSeError, DataFormatError
+from .errors import CmpeSeError, ConfigError, DataFormatError, read_json
 from .gradcheck import block_gradient_check
 from .network import build, param_count, reference_mparams, spec_from_dict
 from .train import evaluate, train
@@ -79,8 +78,7 @@ def cmd_eval(args):
 
 
 def cmd_param_count(args):
-    with open(args.netspec) as f:
-        raw = json.load(f)
+    raw = read_json(args.netspec, ConfigError)
     if "network" in raw:   # accept a whole experiment file too
         raw = raw["network"]
     spec = spec_from_dict(raw)
@@ -186,7 +184,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CmpeSeError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (CmpeSeError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

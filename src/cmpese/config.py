@@ -16,12 +16,11 @@ overrides any configured seed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 
 from .data import load_cifar_binary, load_dataset_npz, synth_dataset
-from .errors import ConfigError, check_keys, require_choice
+from .errors import ConfigError, check_keys, read_json, require_choice, require_path
 from .network import spec_from_dict
 from .train import train_config_from_dict
 
@@ -47,8 +46,7 @@ def resolve_seed(seed):
 
 
 def load_experiment(path):
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path, ConfigError)
     check_keys(raw, "config", ("network",), ("train", "data", "out_dir"))
     spec = spec_from_dict(raw["network"])
     cfg = train_config_from_dict(raw.get("train", {}))
@@ -56,8 +54,7 @@ def load_experiment(path):
     data = raw.get("data", {"kind": "synth"})
     validate_data_section(data)
     out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a path string or null, got {out_dir!r}")
+    require_path("out_dir", out_dir, null=True)
     return {
         "spec": spec,
         "train": cfg,
@@ -73,11 +70,8 @@ def validate_data_section(data):
     require_choice("data kind", kind, sorted(_DATA_KEYS))
     check_keys(data, f"data kind {kind!r}", *_DATA_KEYS[kind])
     for key, many in _PATH_KEYS.items():
-        value = data.get(key, "")
-        paths = value if many and isinstance(value, list) and value else [value]
-        if not all(isinstance(v, str) for v in paths):
-            either = " or a non-empty list of them" if many else ""
-            raise ConfigError(f"data {key} must be a path string{either}, got {value!r}")
+        if key in data:
+            require_path(f"data {key}", data[key], many=many)
 
 
 def check_class_count(which, ds, num_classes):

@@ -8,15 +8,14 @@ and mixup batches.
 
 from __future__ import annotations
 
-import json
 import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_keys, require_bool, require_int, \
-    require_number
+from .errors import ConfigError, DataFormatError, check_keys, read_file, read_json, \
+    require_bool, require_int, require_number, require_path
 
 
 @dataclass
@@ -112,8 +111,8 @@ def load_cifar_binary(paths, classes=10, normalization="meanstd", stats=None,
 
     parts = []
     for path in paths:
-        with open(path, "rb") as f:
-            parts.append(_decode_records(f.read(), record_size, label_offset, classes, str(path)))
+        parts.append(_decode_records(read_file(path, DataFormatError), record_size,
+                                     label_offset, classes, str(path)))
     if len(parts) == 1:
         images, labels = parts[0]
     else:
@@ -136,10 +135,28 @@ def load_cifar_binary(paths, classes=10, normalization="meanstd", stats=None,
     return Dataset(images, labels, classes, split), stats
 
 
+# images per chunk of float64 deviations in channel_stats
+_STATS_CHUNK = 64
+
+
 def channel_stats(images):
-    mean = images.mean(axis=(0, 1, 2), dtype=np.float64).astype(np.float32)
-    std = images.std(axis=(0, 1, 2), dtype=np.float64).astype(np.float32)
-    return mean, std
+    """Per-channel float32 mean and std of (N, H, W, C) images, taken in
+    float64 as ``images.std(axis=(0, 1, 2), dtype=np.float64)`` takes them,
+    but over chunks of images rather than a float64 copy of all of them.
+    Each chunk's squared deviations are summed after the running total, in
+    the order of one sum over C-ordered images."""
+    c = images.shape[-1]
+    mean = images.mean(axis=(0, 1, 2), dtype=np.float64)
+    rows = np.zeros((images[:_STATS_CHUNK].size // c + 1, c))   # the total, then a chunk
+    for start in range(0, len(images), _STATS_CHUNK):
+        part = images[start: start + _STATS_CHUNK]
+        used = part.size // c + 1
+        deviations = rows[1: used].reshape(part.shape)
+        np.subtract(part, mean, out=deviations)
+        np.square(deviations, out=deviations)
+        rows[0] = rows[:used].sum(axis=0)
+    std = np.sqrt(rows[0] / (images.size // c))
+    return mean.astype(np.float32), std.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +240,9 @@ def synth_dataset(class_count=2, n_per_class=100, image_size=16, seed=0,
 def load_synth_manifest(path):
     """Manifest: JSON with class_count, n_per_class, seed and optionally
     image_size and out (output path for the rendered dataset)."""
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path, ConfigError)
     check_keys(raw, "manifest", ("class_count", "n_per_class", "seed"), ("image_size", "out"))
-    if not isinstance(raw.get("out", ""), (str, type(None))):
-        raise ConfigError(f"manifest out must be a path string or null, got {raw['out']!r}")
+    require_path("manifest out", raw.get("out"), null=True)
     return raw
 
 

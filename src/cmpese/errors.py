@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the config-value checks
-that raise them."""
+"""Exception types shared across the package, the config-value checks that
+raise them, and the readers of input files."""
 
+import json
 import math
 import numbers
 from dataclasses import MISSING, fields, is_dataclass
@@ -57,6 +58,16 @@ def require_choice(key, value, choices):
         raise ConfigError(f"unknown {key} {value!r}; expected one of {', '.join(choices)}")
 
 
+def require_path(key, value, many=False, null=False):
+    """Refuse a setting that is not a path string. ``many`` also accepts a
+    non-empty list of path strings, and ``null`` accepts None."""
+    paths = value if many and isinstance(value, list) and value else [value]
+    if not (null and value is None or all(isinstance(v, str) for v in paths)):
+        alternatives = ((" or a non-empty list of them" if many else "")
+                        + (" or null" if null else ""))
+        raise ConfigError(f"{key} must be a path string{alternatives}, got {value!r}")
+
+
 def check_keys(obj, section, required=(), optional=(), error=ConfigError):
     """Refuse ``obj`` unless it is a JSON object that holds every key of
     ``required`` and no key outside ``required`` and ``optional``. The
@@ -102,8 +113,8 @@ class DataFormatError(ValueError, CmpeSeError):
         super().__init__(message)
 
 
-class NonFiniteError(FloatingPointError, CmpeSeError):
-    """A tensor produced NaN/Inf where finite values are required."""
+class TensorError(CmpeSeError):
+    """An error about one tensor, named in the message when it has a name."""
 
     def __init__(self, message, tensor_name=None):
         self.tensor_name = tensor_name
@@ -112,25 +123,26 @@ class NonFiniteError(FloatingPointError, CmpeSeError):
         super().__init__(message)
 
 
+class NonFiniteError(TensorError, FloatingPointError):
+    """A tensor produced NaN/Inf where finite values are required."""
+
+
 class TrainingDiverged(RuntimeError, CmpeSeError):
     """Training loss became non-finite; the last checkpoint is retained."""
 
 
-class GraphReleasedError(RuntimeError, CmpeSeError):
+class GraphReleasedError(TensorError, RuntimeError):
     """Backward reached a graph node whose backward has already run.
 
     Backward frees the graph it walks, so a graph supports one backward.
     """
 
     def __init__(self, tensor_name=None):
-        self.tensor_name = tensor_name
-        message = "backward through a graph that an earlier backward has freed"
-        if tensor_name:
-            message = f"{message}: tensor '{tensor_name}'"
-        super().__init__(message)
+        super().__init__("backward through a graph that an earlier backward has freed",
+                         tensor_name)
 
 
-class ActivationReleasedError(RuntimeError, CmpeSeError):
+class ActivationReleasedError(TensorError, RuntimeError):
     """A released pre-activation's ``data`` or ``padded`` was read.
 
     Its forward readers are done with it; backward rebuilds it for its own
@@ -138,8 +150,32 @@ class ActivationReleasedError(RuntimeError, CmpeSeError):
     """
 
     def __init__(self, tensor_name=None):
-        self.tensor_name = tensor_name
-        message = "read of a pre-activation released after its forward readers"
-        if tensor_name:
-            message = f"{message}: tensor '{tensor_name}'"
-        super().__init__(message)
+        super().__init__("read of a pre-activation released after its forward readers",
+                         tensor_name)
+
+
+def read_file(path, error):
+    """The bytes of the input file ``path``. A missing file raises
+    FileNotFoundError; a file that exists but cannot be read, such as a
+    directory, raises ``error`` naming the path."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise error(f"{path}: cannot be read ({e.strerror or e})") from None
+
+
+def read_json(path, error):
+    """The JSON object in the input file ``path``, read as ``read_file``
+    reads it. Text that is not UTF-8 JSON, or JSON that is not an object,
+    raises ``error`` naming the path."""
+    data = read_file(path, error)
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except ValueError as e:   # UnicodeDecodeError or JSONDecodeError
+        raise error(f"{path}: not a JSON file ({e})") from None
+    if not isinstance(value, dict):
+        raise error(f"{path}: must hold a JSON object, got {type(value).__name__}")
+    return value

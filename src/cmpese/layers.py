@@ -16,6 +16,13 @@ from .errors import ShapeError
 from .tensor import Tensor
 
 
+def he_normal(rng, shape, fan, dtype):
+    """Normal draws of ``shape`` with std sqrt(2 / fan) (He et al.), cast to
+    ``dtype``; a fresh generator stands in for a None ``rng``."""
+    rng = rng or np.random.default_rng()
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan)).astype(dtype)
+
+
 class Module:
     def __init__(self):
         self._params = {}   # name -> (Tensor, decay: bool)
@@ -119,12 +126,8 @@ class Conv2d(Module):
         kh = kw = kernel_size
         self.stride = stride
         self.padding = padding
-        rng = rng or np.random.default_rng()
-        std = np.sqrt(2.0 / (kh * kw * cout))
         self.weight = self.param(
-            "weight", (rng.standard_normal((kh, kw, cin, cout)) * std).astype(dtype),
-            decay=True,
-        )
+            "weight", he_normal(rng, (kh, kw, cin, cout), kh * kw * cout, dtype), decay=True)
 
     def forward(self, x):
         return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -136,12 +139,9 @@ class Linear(Module):
     def __init__(self, in_features, out_features, bias=True, rng=None,
                  dtype=np.float32):
         super().__init__()
-        rng = rng or np.random.default_rng()
-        std = np.sqrt(2.0 / in_features)
         self.weight = self.param(
-            "weight", (rng.standard_normal((out_features, in_features)) * std).astype(dtype),
-            decay=True,
-        )
+            "weight", he_normal(rng, (out_features, in_features), in_features, dtype),
+            decay=True)
         self.bias = None
         if bias:
             self.bias = self.param("bias", np.zeros(out_features, dtype=dtype), decay=False)

@@ -126,25 +126,26 @@ _BLAS_GEMM = _bind_blas_gemm()
 
 
 @contextlib.contextmanager
+def _flag(name, value):
+    """Set the module flag ``name`` to ``value`` inside the block, and give
+    it back its previous value on leaving, also when the block raises."""
+    prev = globals()[name]
+    globals()[name] = value
+    try:
+        yield
+    finally:
+        globals()[name] = prev
+
+
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+    """Ops inside the block return detached results."""
+    return _flag("_grad_enabled", False)
 
 
-@contextlib.contextmanager
 def finite_checks(enabled=True):
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = enabled
-    try:
-        yield
-    finally:
-        _finite_checks = prev
+    """Inside the block, a non-finite op output or gradient raises
+    NonFiniteError naming its tensor."""
+    return _flag("_finite_checks", enabled)
 
 
 class Tensor:
@@ -447,11 +448,10 @@ def relu(a):
 
 def sigmoid(a):
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp of -|x| only, so it cannot overflow: 1 / (1 + e^-x) for x >= 0,
+    # e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     # keep outputs strictly inside (0, 1) even where the dtype saturates
     one = x.dtype.type(1)
     zero = x.dtype.type(0)

@@ -75,6 +75,19 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def sigmoid_by_sign(x):
+    """The logistic function as 1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x)
+    below, each over its own gathered entries, clipped strictly inside
+    (0, 1) in the dtype of x."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    one, zero = x.dtype.type(1), x.dtype.type(0)
+    return np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero))
+
+
 def se_reference(u, w1, w2):
     """s = sigmoid(w2 @ relu(w1 @ u)) written as straight-line matmuls."""
     h = np.maximum(u @ w1.T, 0.0)

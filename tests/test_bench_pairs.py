@@ -3,8 +3,10 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -43,6 +45,62 @@ def test_one_pair_against_head(tmp_path):
     for m in row["metrics"].values():
         assert len(m["parent"]["values"]) == len(m["change"]["values"]) == 1
         assert m["change_wins"] + m["ties"] <= 1
+
+
+def benchmark_children(pid):
+    """Pids of the running processes whose parent is ``pid`` and whose
+    command runs ``perfbench/run.py``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid and b"perfbench/run.py" in cmdline:
+            found.append(int(entry))
+    return found
+
+
+def running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir(os.path.join(ROOT, ".git")),
+                    reason="needs a git checkout to export the parent from")
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finds processes in /proc")
+def test_sigterm_removes_the_temporary_directory_and_stops_the_benchmark(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, SCRIPT, "--parent", "HEAD", "--pairs", "1", "--workloads",
+         "train-desk-allmodes", "--seconds", "60", "--out", str(tmp_path / "o.json")],
+        env={**os.environ, "TMPDIR": str(tmp_path)}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    children = []
+    try:
+        deadline = time.monotonic() + 120
+        while not children and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.1)
+            children = benchmark_children(proc.pid)
+        assert children, "no benchmark process started"
+        assert list(tmp_path.glob("bench-pairs-*"))
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in children:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert code != 0
+    assert not list(tmp_path.glob("bench-pairs-*"))
+    assert not any(running(pid) for pid in children)
 
 
 def runs(metric, parent, change):

@@ -189,6 +189,33 @@ def test_data_section_or_manifest_missing_or_mistyped_key_fails_cleanly(
     assert err.startswith("error: ") and key in err
 
 
+def unreadable_input(tmp_path, how):
+    path = tmp_path / f"input-{how}"
+    if how == "directory":
+        path.mkdir()
+    elif how == "not-utf8":
+        path.write_bytes(b'{"out": "caf\xe9"}')
+    elif how == "truncated":
+        path.write_text('{"network": ')
+    else:
+        path.write_text("5")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, how", [
+    *((command, how) for command in ("train", "param-count", "synth-data")
+      for how in ("directory", "not-utf8", "truncated", "not-an-object")),
+    ("eval", "directory"),
+])
+def test_an_input_file_that_cannot_be_read_fails_cleanly_naming_its_path(
+        tmp_path, capsys, command, how):
+    path = unreadable_input(tmp_path, how)
+    argv = [command, path] + (["data.npz"] if command == "eval" else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # train -> eval -> export-attention workflow
 # ---------------------------------------------------------------------------

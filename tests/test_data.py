@@ -167,6 +167,32 @@ def test_channel_stats_match_two_pass_oracle():
         assert std[c] == pytest.approx(np.sqrt(v), rel=1e-6)
 
 
+def decoded_images(path):
+    raw = np.fromfile(path, dtype=np.uint8).reshape(-1, 3073)
+    return raw[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1).astype(np.float32)
+
+
+def test_meanstd_load_keeps_the_statistics_bits_in_a_fraction_of_the_memory(tmp_path):
+    # channel_stats' float64 deviations, a chunk of them at a time, stay
+    # below the file's bytes, so the peak is the decode's: the images and the
+    # file. One std over all the images at once made twice their bytes, and
+    # the load peaked at 3.03x
+    path = tmp_path / "batch.bin"
+    random_batch_file(path, n=2000, seed=6)
+    images = decoded_images(path)
+    tracemalloc.start()
+    try:
+        _, (mean, std) = load_cifar_binary(path, classes=10, normalization="meanstd")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * images.nbytes
+    np.testing.assert_array_equal(
+        mean, images.mean(axis=(0, 1, 2), dtype=np.float64).astype(np.float32))
+    np.testing.assert_array_equal(
+        std, images.std(axis=(0, 1, 2), dtype=np.float64).astype(np.float32))
+
+
 def test_unknown_normalization_rejected(tmp_path):
     path = tmp_path / "t.bin"
     random_batch_file(path)

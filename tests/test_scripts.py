@@ -28,6 +28,8 @@ def test_mode_sweep_writes_its_table(tmp_path):
     assert rows[0] == "mode,params,final_eval_err,best_eval_err,final_train_acc,seconds"
     assert len(rows) == 2 and rows[1].startswith("folded3x3,")
     log = (out / "folded3x3" / "metrics.csv").read_text().splitlines()
+    # the table's final error is the one training logged for its last epoch
+    assert float(rows[1].split(",")[2]) == float(log[-1].split(",")[4])
     # one epoch trains at base_lr: the schedule's boundary is at least epoch 1
     assert log[1].split(",")[:2] == ["0", "0.05"]
 

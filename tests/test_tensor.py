@@ -17,7 +17,7 @@ from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
 from oracles import (batch_norm_saving_xn, channel_scale_add_composite, conv2d_dx_shift_gemm,
-                     conv2d_loops)
+                     conv2d_loops, sigmoid_by_sign)
 
 RNG = np.random.default_rng(20240811)
 
@@ -345,6 +345,16 @@ def test_sigmoid_strictly_inside_unit_interval():
     s = T.sigmoid(x).data
     assert np.all(s > 0.0) and np.all(s < 1.0)
     assert s[2] == 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_sign_split_formulation(dtype):
+    edges = [0.0, -0.0, 1e-30, -1e-30, 1e-45, -1e-45, 17, -17, 88, -88, 710, -710,
+             1000, -1000, np.inf, -np.inf]
+    x = np.concatenate([RNG.normal(0, 20, 20000), edges]).astype(dtype)
+    got = T.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    assert got.tobytes() == sigmoid_by_sign(x).tobytes()
 
 
 def test_cross_entropy_matches_log_softmax():
@@ -753,6 +763,37 @@ def test_no_grad_builds_no_graph():
     with no_grad():
         y = T.mul(x, x)
     assert not y.requires_grad and y._backward is None
+
+
+def grad_enabled():
+    return T.mul(Tensor(np.ones(1), requires_grad=True), Tensor(np.ones(1))).requires_grad
+
+
+def finite_checks_enabled():
+    try:
+        T.scale(Tensor(np.array([np.inf])), 1.0)
+    except NonFiniteError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("outer, inner, probe", [
+    (no_grad, no_grad, grad_enabled),
+    (finite_checks, lambda: finite_checks(False), finite_checks_enabled),
+])
+def test_a_nested_flag_block_restores_the_flag_it_found(outer, inner, probe):
+    before = probe()
+    with outer():
+        inside = probe()
+        assert inside != before
+        with inner():
+            pass
+        assert probe() == inside
+        with pytest.raises(KeyError):
+            with inner():
+                raise KeyError("leave the block")
+        assert probe() == inside
+    assert probe() == before
 
 
 def test_float32_chain_stays_float32():

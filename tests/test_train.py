@@ -537,6 +537,17 @@ def test_sidecar_with_a_malformed_value_is_a_named_format_error(saved_run, key, 
         load_checkpoint(ckpt)
 
 
+@pytest.mark.parametrize("value", ["cmpese-checkpoint-v2", None])
+def test_sidecar_of_another_format_is_a_named_format_error(saved_run, value):
+    ckpt, sidecar = saved_run
+    rewrite_sidecar(sidecar, lambda meta: meta.update(format=value))
+    with pytest.raises(DataFormatError, match=re.escape(sidecar) + ".*format.*" + repr(value)):
+        load_checkpoint(ckpt)
+    # a sidecar without the key still loads
+    rewrite_sidecar(sidecar, lambda meta: meta.pop("format"))
+    assert load_checkpoint(ckpt)[2]["epoch"] == 0
+
+
 def test_sidecar_network_in_the_sparse_format_still_loads(saved_run):
     # sidecars written before the network dict listed every NetworkSpec
     # field omit block when it is "auto" and fold keys when they are null
