@@ -33,6 +33,8 @@ FORMAT = "cmpese-checkpoint-v1"
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.int64): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+# the most dimensions a numpy array can have
+_MAX_RANK = 64
 
 
 def save_tensors(path, arrays):
@@ -52,6 +54,10 @@ def save_tensors(path, arrays):
 
 
 def load_tensors(path):
+    """The arrays of a tensor file, by name in file order. A file that breaks
+    the layout (a name that is not UTF-8 or repeats an earlier one, an unknown
+    dtype code, a rank above numpy's, a truncation or trailing bytes) raises
+    DataFormatError naming the file and the byte offset."""
     buf = read_file(path, DataFormatError)
     if buf[:8] != MAGIC:
         raise DataFormatError(f"{path}: bad magic {buf[:8]!r}", byte_offset=0)
@@ -69,11 +75,22 @@ def load_tensors(path):
     arrays = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        at = pos
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: tensor name is not UTF-8",
+                                  byte_offset=at + e.start) from None
+        if name in arrays:
+            raise DataFormatError(f"{path}: tensor {name!r} repeats an earlier name",
+                                  byte_offset=at)
         code, rank = struct.unpack("<BB", take(2, "dtype/rank"))
         if code not in _CODE_DTYPES:
             raise DataFormatError(f"{path}: unknown dtype code {code} for {name!r}",
                                   byte_offset=pos - 2)
+        if rank > _MAX_RANK:
+            raise DataFormatError(f"{path}: rank {rank} of {name!r} is above numpy's "
+                                  f"{_MAX_RANK}", byte_offset=pos - 1)
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
         dtype = _CODE_DTYPES[code]
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize

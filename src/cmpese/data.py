@@ -85,7 +85,8 @@ def _decode_records(buf, record_size, label_offset, classes, path):
             f"{path}: record {i} has label {labels[i]}, out of range for {classes} classes",
             byte_offset=i * record_size + label_offset)
     planes = raw[:, label_offset + 1:].reshape(n, 3, 32, 32)
-    images = planes.transpose(0, 2, 3, 1).astype(np.float32)
+    # C order, not the planes' layout: a minibatch gather then reads whole images
+    images = planes.transpose(0, 2, 3, 1).astype(np.float32, order="C")
     return images, labels
 
 

@@ -143,14 +143,16 @@ class GraphReleasedError(TensorError, RuntimeError):
 
 
 class ActivationReleasedError(TensorError, RuntimeError):
-    """A released pre-activation's ``data`` or ``padded`` was read.
+    """A released or dropped activation's ``data`` or ``padded`` was read.
 
-    Its forward readers are done with it; backward rebuilds it for its own
-    readers (see ``Tensor.release``).
+    Its forward readers are done with it. Backward rebuilds a released
+    pre-activation for its own readers, and reads nothing of a dropped
+    projection output but its shape and dtype (see ``Tensor.release`` and
+    ``Tensor.drop``).
     """
 
     def __init__(self, tensor_name=None):
-        super().__init__("read of a pre-activation released after its forward readers",
+        super().__init__("read of an activation dropped after its forward readers",
                          tensor_name)
 
 

@@ -183,8 +183,14 @@ class ResidualBlock(Module):
         return h, x_id
 
     def forward(self, x):
+        """The block output. A projection output is dropped after the tail:
+        backward reads only its shape, in the pool, and passes the tail's
+        gradient to it unchanged (``Tensor.drop``)."""
         u_r, x_id = self.branch_and_shortcut(x)
-        return recalibrate_and_add(u_r, x_id, self.attn)
+        out = recalibrate_and_add(u_r, x_id, self.attn)
+        if self.proj is not None:
+            x_id.drop()
+        return out
 
 
 class Network(Module):

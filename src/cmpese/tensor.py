@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import glob
 import math
 import os
@@ -155,11 +154,13 @@ class Tensor:
     there it is the zero-bordered array whose interior view is ``data``,
     which ``conv2d`` with the same padding reads (``padded_by``) in place of
     its own copy. A ``batch_norm`` output in a graph can also be rebuilt, so
-    that ``release`` may drop its arrays between forward and backward.
+    that ``release`` may drop its arrays between forward and backward; a
+    tensor that backward reads only for its shape and dtype may ``drop``
+    them for good.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "padded",
-                 "_rebuild")
+                 "_rebuild", "_husk")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
@@ -170,9 +171,10 @@ class Tensor:
         self._backward = None
         self.padded = None
         self._rebuild = None
+        self._husk = None
 
     def __getattr__(self, name):
-        # reached only for an unset slot: data and padded after release()
+        # reached only for an unset slot: data and padded after drop()
         if name in ("data", "padded"):
             raise ActivationReleasedError(self.name)
         raise AttributeError(name)
@@ -188,8 +190,23 @@ class Tensor:
         ``data`` or ``padded`` raises ``ActivationReleasedError``.
         """
         if self._rebuild is not None:
-            del self.data, self.padded
+            self.drop()
             self._rebuild.arrays = None
+
+    def drop(self):
+        """Drop ``data`` and ``padded``, keeping ``shape`` and ``dtype``
+        readable; reading ``data`` or ``padded`` then raises
+        ``ActivationReleasedError``. Unless ``release`` called it, they are
+        gone for good: for a tensor whose gradient functions read nothing
+        else of it, such as a block's projection output (see
+        ``network.ResidualBlock.forward``)."""
+        # a stride-0 view of one value: the shape and dtype without the bytes
+        self._husk = np.broadcast_to(np.zeros((), self.dtype), self.shape)
+        del self.data, self.padded
+
+    def _array_or_husk(self):
+        # data, or after drop() its stand-in of the same shape and dtype
+        return self.data if self._husk is None else self._husk
 
     def padded_by(self, pad):
         """``data`` zero-padded by ``pad`` on both sides of its two spatial
@@ -207,19 +224,19 @@ class Tensor:
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._array_or_husk().shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._array_or_husk().ndim
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._array_or_husk().dtype
 
     @property
     def size(self):
-        return self.data.size
+        return self._array_or_husk().size
 
     def zero_grad(self):
         self.grad = None
@@ -230,10 +247,9 @@ class Tensor:
         The first gradient is kept without a copy when it is already a
         C-contiguous array of the right dtype; later ones are added out of
         place. Nothing writes into a stored gradient, so one array may be the
-        gradient of several tensors. A released tensor is rebuilt here at the
-        latest, for its dtype: its own backward reads it next anyway.
+        gradient of several tensors.
         """
-        dtype = self.padded_by(0).dtype
+        dtype = self.dtype
         if self.grad is None:
             self.grad = np.asarray(g, dtype=dtype, order="C")
         else:
@@ -547,12 +563,17 @@ def dual_linear(h_a, h_b, w):
                    (h_a, lambda g: g @ w_a), (h_b, lambda g: g @ w_b), (w, grad_w))
 
 
-# Output rows per im2col block. One block is at most _SLICE_ROWS x kh*kw*Cin
-# (9 MiB for a float32 3x3 conv over 32 channels), so the transient copy stays
-# small while its GEMMs stay deep: K = kh*kw*Cin in the forward pass, and a
-# kh*kw*Cin x Cout output for the weight gradient. Per-tap weight-gradient
-# GEMMs (a Cin x Cout output) measured slower.
+# Output rows per weight-gradient block. The block's GEMM sums over its rows
+# and the blocks are added in order, so these boundaries fix dW's bits; a
+# block's GEMM is deep (K = its rows) with a kh*kw*Cin x Cout output.
+# Per-tap weight-gradient GEMMs (a Cin x Cout output) measured slower.
 _SLICE_ROWS = 8192
+# Bytes of conv2d's im2col workspace: one buffer per forward or weight-gradient
+# call, overwritten block after block. The forward pass cuts its blocks by
+# output image rows to fit it. A weight-gradient block that does not fit is
+# copied one kernel row at a time, as (rows, kw*Cin) slabs of contiguous runs,
+# into a workspace of one slab (6 MiB for WRN-16-2's 16x16x64 convs).
+_WORKSPACE_BYTES = 9 << 19   # 4.5 MiB
 # Rows of the flat forward pass's slice buffer, (_GRID_ROWS, Cout): 2 MiB for
 # a float32 conv with 32 output channels, 8 MiB with 128.
 _GRID_ROWS = 16384
@@ -565,6 +586,27 @@ _FLAT_DX_MIN = 8
 # Fewest input channels for the flat forward pass: a 3-channel stem's per-tap
 # GEMMs (depth 3) measured 3-19% slower than its one im2col GEMM (depth 27).
 _FLAT_FORWARD_MIN_CIN = 8
+
+
+def _im2col_rows(ws, windows, start, stop):
+    """Output image rows ``start`` to ``stop`` of ``windows``, an (N, Ho,
+    ...) view counted over its flattened N*Ho axis, copied into the front of
+    the workspace ``ws``: the (rows, K) im2col block, one row per output
+    position. Whole images go in one copy, a part of an image in another."""
+    ho, tail = windows.shape[1], windows.shape[2:]
+    block = ws[:(stop - start) * math.prod(tail)].reshape(stop - start, *tail)
+    at = start
+    while at < stop:
+        i, h = divmod(at, ho)
+        if h == 0 and stop - at >= ho:    # whole images, in one copy
+            k = (stop - at) // ho
+            block[at - start:at - start + k * ho].reshape(k, ho, *tail)[...] = windows[i:i + k]
+            at += k * ho
+        else:                             # the rest of this image or of the range
+            e = min(stop, (i + 1) * ho)
+            block[at - start:e - start] = windows[i, h:h + e - at]
+            at = e
+    return block.reshape((stop - start) * tail[0], -1)
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -583,10 +625,13 @@ def conv2d(x, w, stride=1, padding=0):
     are at least _FLAT_FORWARD_MIN_CIN input channels; the input gradient
     into the padded input's grid when both extents are at least
     _FLAT_DX_MIN. Otherwise the forward pass runs one deep GEMM per im2col
-    block, built over a slice of the batch and dropped after its GEMM, and
-    the input gradient is shift-and-GEMM: one GEMM per kernel tap, added into
-    that tap's strided view of the padded input. The weight gradient always
-    runs the im2col blocks.
+    block, and the input gradient is shift-and-GEMM: one GEMM per kernel tap,
+    added into that tap's strided view of the padded input. The weight
+    gradient always runs im2col blocks of _SLICE_ROWS outputs. Each call
+    copies its blocks into one workspace, which the next block overwrites:
+    forward blocks are output image rows cut to fit _WORKSPACE_BYTES, and a
+    weight-gradient block larger than that goes in one kernel row at a time,
+    each slab's GEMM writing its rows of dW.
 
     With ``padding`` p > 0 the input is zero-padded into a new array, unless
     ``x.padded`` (set only by ``batch_norm(..., pad=p)``) has exactly the
@@ -637,17 +682,12 @@ def conv2d(x, w, stride=1, padding=0):
     kernel = w_flat.reshape(w.shape)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
 
-    def blocks(xp):
-        """(output rows, im2col block) pairs covering the batch in order."""
+    def windows(xp):
+        """The im2col matrix as a (N, Ho, Wo, kh, kw, Cin) view of ``xp``."""
         sn, sh, sw, sc = xp.strides
-        windows = np.lib.stride_tricks.as_strided(
+        return np.lib.stride_tricks.as_strided(
             xp, shape=(n, ho, wo, kh, kw, cin),
             strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-        step = max(1, _SLICE_ROWS // (ho * wo))
-        for b in range(0, n, step):
-            e = min(b + step, n)
-            cols = np.ascontiguousarray(windows[b:e]).reshape(-1, kh * kw * cin)
-            yield slice(b * ho * wo, e * ho * wo), cols
 
     data = np.empty((n, ho, wo, cout), dtype=dtype)
     if flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN:
@@ -665,15 +705,44 @@ def conv2d(x, w, stride=1, padding=0):
                 beta = 1
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
     else:
-        out = data.reshape(n * ho * wo, cout)
-        for rows, cols in blocks(xp):
-            np.matmul(cols, w_flat, out=out[rows])
+        # equal blocks of output image rows, each at most _SLICE_ROWS outputs.
+        # Each output is one GEMM row, so where a block ends moves no bit, as
+        # long as no block is so small that BLAS takes its small-matrix
+        # kernel, which sums in another order: equal blocks keep the last one
+        # at least half as large as the bound allows
+        out = data.reshape(n * ho, wo * cout)
+        step = max(1, min(_SLICE_ROWS, _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)) // wo)
+        count = -(-n * ho // step)
+        ends = [n * ho * i // count for i in range(count + 1)]
+        ws = np.empty(-(-n * ho // count) * wo * kh * kw * cin, dtype=xp.dtype)
+        win = windows(xp)
+        for a, b in zip(ends, ends[1:]):
+            np.matmul(_im2col_rows(ws, win, a, b), w_flat, out=out[a:b].reshape(-1, cout))
 
     def grad_w(g):
         # x's own array, rebuilt if x was released, or the copy
-        xp = x.padded_by(padding) if copy is None else copy
+        win = windows(x.padded_by(padding) if copy is None else copy)
         g_flat = g.reshape(n * ho * wo, cout)
-        gw = functools.reduce(np.add, (cols.T @ g_flat[rows] for rows, cols in blocks(xp)))
+        step = max(1, _SLICE_ROWS // (ho * wo))
+        block_bytes = min(step, n) * ho * wo * kh * kw * cin * win.itemsize
+        # kernel-row slabs, unless the block fits or they are one value wide:
+        # numpy runs a one-column GEMM as a vector product, adding in another
+        # order. A slab is a third or more of a block above the bound, so its
+        # GEMM is never small enough for BLAS's small-matrix kernel
+        parts = ([win[:, :, :, i] for i in range(kh)]
+                 if block_bytes > _WORKSPACE_BYTES and kw * cin > 1 else [win])
+        ws = np.empty(block_bytes // (win.itemsize * len(parts)), dtype=win.dtype)
+        # each block's dW, its parts' GEMMs writing their rows; blocks add in order
+        gw = prod = np.empty((len(parts), kh * kw * cin // len(parts), cout), dtype=dtype)
+        for b in range(0, n, step):
+            e = min(b + step, n)
+            for part, rows in zip(parts, prod):
+                cols = _im2col_rows(ws, part, b * ho, e * ho)
+                np.matmul(cols.T, g_flat[b * ho * wo:e * ho * wo], out=rows)
+            if prod is not gw:
+                gw += prod
+            elif e < n:
+                prod = np.empty_like(gw)
         return gw.reshape(w.shape)
 
     def grad_x(g):

@@ -203,10 +203,10 @@ def test_unknown_normalization_rejected(tmp_path):
 @pytest.mark.parametrize("normalization, bound", [("scale255", 1.3), ("meanstd", 3.1)])
 def test_cifar_load_keeps_one_float32_copy_of_the_images(tmp_path, normalization, bound):
     # the peak, in multiples of the float32 images: the decoded images and
-    # the file's bytes (a quarter as many), or for meanstd the images and the
-    # float64 deviations channel_stats takes the std of (twice as many); the
-    # loader that concatenated one file and normalized out of place peaked
-    # at 3.25x and 4.26x
+    # the file's bytes (a quarter as many), and for meanstd also the float64
+    # deviations of one chunk of images in channel_stats; it measures 1.25x
+    # and 1.53x on these 256 images. The loader that concatenated one file
+    # and normalized out of place peaked at 3.25x and 4.26x
     path = tmp_path / "batch.bin"
     random_batch_file(path, n=256, seed=4)
     raw = np.fromfile(path, dtype=np.uint8).reshape(256, 3073)
@@ -225,6 +225,21 @@ def test_cifar_load_keeps_one_float32_copy_of_the_images(tmp_path, normalization
     else:
         np.testing.assert_array_equal(ds.images, images / np.float32(255.0))
     assert ds.images.dtype == np.float32
+
+
+def test_cifar_images_are_c_ordered_and_keep_the_planar_stats(tmp_path):
+    # the planes' layout gave the same statistics: the mean sums integers,
+    # exactly in float64, and channel_stats writes its deviations C-ordered
+    path = tmp_path / "batch.bin"
+    random_batch_file(path, n=96, seed=6)
+    ds, stats = load_cifar_binary(path, classes=10)
+    assert ds.images.flags.c_contiguous
+    raw = np.fromfile(path, dtype=np.uint8).reshape(96, 3073)
+    planar = raw[:, 1:].reshape(96, 3, 32, 32).transpose(0, 2, 3, 1).astype(np.float32)
+    assert not planar.flags.c_contiguous
+    for got, want in zip(stats, channel_stats(planar)):
+        assert np.array_equal(got, want)
+    np.testing.assert_array_equal(ds.images, (planar - stats[0]) / stats[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmpese.attention import AttentionConfig, make_attention_unit, recalibrate_and_add
-from cmpese.errors import ConfigError, ShapeError
+from cmpese.errors import ActivationReleasedError, ConfigError, ShapeError
 from cmpese.gradcheck import gradcheck
 from cmpese.network import (
     BlockSpec,
@@ -449,6 +449,42 @@ def test_released_projection_block_passes_gradcheck():
     probe = Tensor(np.random.default_rng(8).standard_normal((2, 2, 2, 16)))
     params = {"input": x, **dict(blk.named_parameters())}
     gradcheck(lambda _: T.sum_over(T.mul(blk(x), probe), (0, 1, 2, 3)), params)
+
+
+def test_projection_block_graph_holds_no_projection_output(monkeypatch):
+    # the pool reads the projection output only for its shape, and the tail
+    # passes its gradient on unchanged, so the graph drops it after the tail:
+    # a forward that keeps its array from outside holds that much more
+    blk = ResidualBlock(RELEASING_BLOCKS["projection"], rng=np.random.default_rng(6))
+    x = Tensor(np.random.default_rng(7).standard_normal((16, 16, 16, 8), dtype=np.float32),
+               requires_grad=True)
+    outputs, kept = [], []
+    project = blk.proj.forward
+
+    def held_after_forward(keep):
+        def spy(h):
+            outputs.append(project(h))
+            if keep:
+                kept.append(outputs[-1].data)
+            return outputs[-1]
+
+        monkeypatch.setattr(blk.proj, "forward", spy)
+        tracemalloc.start()
+        try:
+            return blk(x), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held_after_forward(keep=False)   # first calls allocate a few caches
+    out, held = held_after_forward(keep=False)
+    x_id = outputs[-1]
+    assert x_id.shape == (16, 8, 8, 16) and x_id.dtype == np.float32
+    with pytest.raises(ActivationReleasedError):
+        x_id.data
+    T.sum_over(out, (0, 1, 2, 3)).backward()
+    assert x.grad is not None and blk.proj.weight.grad is not None
+    _, held_with_it = held_after_forward(keep=True)
+    assert abs(held_with_it - held - kept[0].nbytes) < 1024
 
 
 def test_attention_units_one_per_block():

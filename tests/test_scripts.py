@@ -51,3 +51,16 @@ def test_bitwise_modes_prints_two_stable_digests_per_mode():
         assert [line.split()[0] for line in lines] == list(MODE_NAMES)
         assert all(re.fullmatch(r"\S+ [0-9a-f]{64} [0-9a-f]{64}", line) for line in lines)
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # a docstring, a blank line, a comment, code with a trailing comment, a
+    # function with its own docstring, and a string over two code lines
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "m.py").write_text(
+        '"""Module."""\n\n# alone\nx = 1  # trailing\n\ndef f():\n'
+        '    """Doc\n    string."""\n    return """a\nb"""\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    proc = run_script("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["4", f"     4 {os.path.join('pkg', 'm.py')}"]

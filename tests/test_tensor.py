@@ -17,7 +17,7 @@ from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
 from oracles import (batch_norm_saving_xn, channel_scale_add_composite, conv2d_dx_shift_gemm,
-                     conv2d_loops, sigmoid_by_sign)
+                     conv2d_im2col_blocks, conv2d_loops, sigmoid_by_sign)
 
 RNG = np.random.default_rng(20240811)
 
@@ -138,6 +138,80 @@ def test_conv2d_graph_keeps_no_im2col_matrix():
         tracemalloc.stop()
     assert y.requires_grad
     assert held - y.data.nbytes < 2 * padded_bytes
+
+
+# (input, kernel, stride): WRN-16-2's 3x3 convs at batch 64 (stages 1-3 and
+# both stride-2 convs), the desk WRN-10-1's at batch 32, a batch whose last
+# weight-gradient block is ragged (32 + 8 images), the stem, a 1x1 stride-2
+# projection and the stage-3 pairview2x1 scan over one channel (kw*Cin == 1)
+IM2COL_SHAPES = [
+    ((64, 32, 32, 32), (3, 3, 32, 32), 1), ((64, 16, 16, 64), (3, 3, 64, 64), 1),
+    ((64, 8, 8, 128), (3, 3, 128, 128), 1), ((64, 32, 32, 32), (3, 3, 32, 64), 2),
+    ((64, 16, 16, 64), (3, 3, 64, 128), 2), ((32, 16, 16, 16), (3, 3, 16, 16), 1),
+    ((32, 8, 8, 32), (3, 3, 32, 32), 1), ((32, 4, 4, 64), (3, 3, 64, 64), 1),
+    ((32, 16, 16, 16), (3, 3, 16, 32), 2), ((40, 16, 16, 64), (3, 3, 64, 64), 1),
+    ((64, 32, 32, 3), (3, 3, 3, 16), 1), ((64, 32, 32, 32), (1, 1, 32, 64), 2),
+    ((64, 2, 128, 1), (2, 1, 1, 4), 1),
+]
+
+
+# a 1 MiB workspace cuts forward blocks inside images and copies each larger
+# dW block in slabs; a 40 kB one would copy the scan's 64 kB dW block in
+# slabs one value wide, which it must not
+@pytest.mark.parametrize("x_shape, w_shape, stride, workspace",
+                         [(*shape, ws) for shape in IM2COL_SHAPES for ws in (None, 1 << 20)]
+                         + [(*IM2COL_SHAPES[-1], 40_000)])
+def test_conv2d_workspace_is_bitwise_the_whole_image_blocks(x_shape, w_shape, stride, workspace,
+                                                            monkeypatch):
+    # the forward pass on the im2col path (no BLAS binding) and dW against
+    # fresh whole-image blocks of _SLICE_ROWS rows
+    monkeypatch.setattr(T, "_BLAS_GEMM", None)
+    if workspace is not None:
+        monkeypatch.setattr(T, "_WORKSPACE_BYTES", workspace)
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(x_shape, dtype=np.float32)
+    w = Tensor(rng.standard_normal(w_shape, dtype=np.float32), requires_grad=True)
+    padding = (w_shape[0] - 1) // 2
+    y = T.conv2d(Tensor(x), w, stride=stride, padding=padding)
+    g = rng.standard_normal(y.shape, dtype=np.float32)
+    want_y, want_dw = conv2d_im2col_blocks(x, w.data, g, stride, padding, T._SLICE_ROWS)
+    assert np.array_equal(y.data, want_y)
+    y.backward(g)
+    assert np.array_equal(w.grad, want_dw)
+
+
+def test_conv2d_forward_blocks_are_equal(monkeypatch):
+    # 129 images of 4x4 outputs over 64 channels: the bound allows 512 image
+    # rows, and 516 cut as 512 + 4 would leave a last GEMM of 16 rows, which
+    # BLAS runs in its small-matrix kernel with other bits; 258 + 258 do not
+    monkeypatch.setattr(T, "_BLAS_GEMM", None)
+    x = RNG.standard_normal((129, 4, 4, 64), dtype=np.float32)
+    w = RNG.standard_normal((3, 3, 64, 64), dtype=np.float32)
+    assert T._WORKSPACE_BYTES // (9 * 64 * 4) // 4 == 512
+    with no_grad():
+        y = T.conv2d(Tensor(x), Tensor(w), padding=1).data
+    want, _ = conv2d_im2col_blocks(x, w, np.zeros_like(y), 1, 1, T._SLICE_ROWS)
+    assert np.array_equal(y, want)
+
+
+def test_conv2d_weight_gradient_holds_one_workspace():
+    # a stage-2 WRN-16-2 conv: its 8192-row dW blocks are 18 MiB, so each is
+    # copied one kernel row at a time into one 6 MiB workspace; beside it
+    # live the root gradient's copy, dW and one block's dW
+    x = Tensor(RNG.standard_normal((64, 16, 16, 64), dtype=np.float32))
+    w = Tensor(RNG.standard_normal((3, 3, 64, 64), dtype=np.float32), requires_grad=True)
+    y = T.conv2d(x, w, stride=1, padding=1)
+    g = RNG.standard_normal(y.shape, dtype=np.float32)
+    slab = T._SLICE_ROWS * 3 * 64 * 4
+    assert slab > T._WORKSPACE_BYTES
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y.backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.nbytes + slab + 2 * w.data.nbytes + 4096
 
 
 @pytest.mark.skipif(not T._KEEPS_FREED_MEMORY,

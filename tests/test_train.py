@@ -461,6 +461,31 @@ def test_tensor_file_truncation_detected(tmp_path):
         load_tensors(path)
 
 
+def edited_tensor_file(tmp_path, at, new):
+    """A saved two-tensor file with the bytes from offset ``at`` replaced by
+    ``new``. Layout: magic and count to byte 12; "ab" (float32, rank 2)
+    with its name at 14 and its rank at 17; "cd" with its name at 52."""
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"ab": np.ones((2, 3), np.float32), "cd": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    assert raw[14:16] == b"ab" and raw[17] == 2 and raw[52:54] == b"cd"
+    raw[at:at + len(new)] = new
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("at, new, message", [
+    (15, b"\xff", "tensor name is not UTF-8"),
+    (17, b"\xfd", "rank 253 of 'ab' is above numpy's 64"),
+    (52, b"ab", "tensor 'ab' repeats an earlier name"),
+])
+def test_tensor_file_layout_errors_name_file_and_offset(tmp_path, at, new, message):
+    path = edited_tensor_file(tmp_path, at, new)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: {message}")) as exc:
+        load_tensors(path)
+    assert exc.value.byte_offset == at
+
+
 def test_tensor_file_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(DataFormatError):
         save_tensors(tmp_path / "t.bin", {"w": np.ones(3, dtype=np.float16)})
