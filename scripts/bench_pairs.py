@@ -19,7 +19,11 @@ values, median and quartiles, the median and quartiles of the per-pair
 ratio change/parent, how many pairs the change won, and whether the
 change's median stays inside the metric's ``BENCHMARK.json`` bound. It
 also holds the ``failed`` and ``attempted`` totals, the runs that gave no
-result line, and the environment line of the first run.
+result line, and the environment line of the first run. Per run it records
+what the run got from the machine: the benchmark process's user + sys CPU
+seconds, and the machine's steal time over the run in jiffies (from
+``/proc/stat``; null where that cannot be read). A side that got less CPU or
+more steal than its pair's other side ran on a slower machine.
 
 ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``; ``--seeds``
 to 1 up to the number of pairs. On SIGTERM the script stops the running
@@ -29,6 +33,7 @@ benchmark process, removes its temporary directory and exits with 143.
 import argparse
 import json
 import os
+import resource
 import shutil
 import signal
 import statistics
@@ -85,20 +90,60 @@ def make_sides(parent, tmp):
     return dirs
 
 
+def steal_jiffies(stat_text):
+    """The steal time of all CPUs, in jiffies, from the text of
+    ``/proc/stat``: the eighth value of its ``cpu`` line, or None when the
+    text has no such value."""
+    for line in stat_text.splitlines():
+        fields = line.split()
+        if fields[:1] == ["cpu"]:
+            return int(fields[8]) if len(fields) > 8 else None
+    return None
+
+
+def machine_now():
+    """``(CPU seconds of the finished child processes, steal jiffies or
+    None)`` at this moment."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    try:
+        with open("/proc/stat") as f:
+            steal = steal_jiffies(f.read())
+    except OSError:
+        steal = None
+    return usage.ru_utime + usage.ru_stime, steal
+
+
+def machine_record(before, after):
+    """What one run got from the machine, from ``machine_now()`` before and
+    after it: its CPU seconds and the steal jiffies over it."""
+    (cpu0, steal0), (cpu1, steal1) = before, after
+    steal = None if steal0 is None or steal1 is None else steal1 - steal0
+    return {"cpu_s": round(cpu1 - cpu0, 3), "steal_jiffies": steal}
+
+
 def run_once(command, cwd, workload, seed, seconds):
-    """One benchmark process: (environment line, result dict), or (None,
-    None) when it gave no result line."""
+    """One benchmark process: (environment line, result dict with the
+    run's ``machine_record`` under ``machine``), or (None, None) when it
+    gave no result line."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = machine_now()
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
+    machine = machine_record(before, machine_now())
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stderr)
         return None, None
+    result["machine"] = machine
     env = next((line for line in lines if line.startswith("environment: ")), None)
     return env, result
+
+
+def machine_text(record):
+    steal = record["steal_jiffies"]
+    return f"cpu {record['cpu_s']:.1f} s, steal {'?' if steal is None else steal}"
 
 
 def quartiles(values):
@@ -166,12 +211,14 @@ def main(argv=None):
                 if len(pair) == 2:
                     runs[w].append(pair)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {w}: " + ", ".join(
-                    f"{side} {pair[side]['metrics']['img_per_s']['value']:.4g} img/s"
+                    f"{side} {pair[side]['metrics']['img_per_s']['value']:.4g} img/s "
+                    f"({machine_text(pair[side]['machine'])})"
                     for side in order if side in pair), flush=True)
     for w in args.workloads:
         row = {"pairs_run": len(runs[w]), "runs_without_result": errors[w],
                "failed": {s: sum(r[s]["failed"] for r in runs[w]) for s in SIDES},
                "attempted": {s: sum(r[s]["attempted"] for r in runs[w]) for s in SIDES},
+               "machine": {s: [r[s]["machine"] for r in runs[w]] for s in SIDES},
                "metrics": {}}
         if runs[w]:
             row["metrics"] = {m["name"]: summarize(m, runs[w]) for m in spec["end_to_end"]}
@@ -187,6 +234,11 @@ def main(argv=None):
                   f"wins {m['change_wins']}/{row['pairs_run']}, "
                   f"{'inside' if m['within_bound'] else 'OUTSIDE'} bound"
                   f"{', gain' if m['gain'] else ''})")
+        for k in range(row["pairs_run"]):
+            ratios = ", ".join(f"{name} {m['change']['values'][k] / m['parent']['values'][k]:.3f}"
+                               for name, m in row["metrics"].items())
+            print(f"{w} pair {k + 1} ratios {ratios}; " + "; ".join(
+                f"{s} {machine_text(row['machine'][s][k])}" for s in SIDES))
         print(f"{w} failed: parent {row['failed']['parent']}, change {row['failed']['change']}; "
               f"runs without result: {row['runs_without_result']}")
     return 0 if all(not any(r["runs_without_result"].values())

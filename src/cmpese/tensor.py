@@ -244,14 +244,17 @@ class Tensor:
     def accumulate_grad(self, g):
         """Add ``g`` to this tensor's gradient.
 
-        The first gradient is kept without a copy when it is already a
-        C-contiguous array of the right dtype; later ones are added out of
+        The first gradient is kept as given when it is a writeable array of
+        the right dtype, such as the interior view of a conv's padded input
+        gradient; a read-only one, such as a pool's stride-0 broadcast, is
+        copied, so no tensor holds a broadcast. Later ones are added out of
         place. Nothing writes into a stored gradient, so one array may be the
         gradient of several tensors.
         """
         dtype = self.dtype
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=dtype, order="C")
+            writeable = isinstance(g, np.ndarray) and g.dtype == dtype and g.flags.writeable
+            self.grad = g if writeable else np.array(g, dtype=dtype, order="C")
         else:
             self.grad = (self.grad + g).astype(dtype, copy=False)
 
@@ -563,20 +566,23 @@ def dual_linear(h_a, h_b, w):
                    (h_a, lambda g: g @ w_a), (h_b, lambda g: g @ w_b), (w, grad_w))
 
 
-# Output rows per weight-gradient block. The block's GEMM sums over its rows
-# and the blocks are added in order, so these boundaries fix dW's bits; a
-# block's GEMM is deep (K = its rows) with a kh*kw*Cin x Cout output.
-# Per-tap weight-gradient GEMMs (a Cin x Cout output) measured slower.
+# Outputs per block. Every forward and input-gradient pass cuts the batch
+# into equal runs of whole images of at most this many outputs, or single
+# images where one has more. An output is one GEMM row there, so where a
+# block ends moves no bit, as long as no block is so small that BLAS takes its
+# small-matrix kernel, which sums in another order: equal blocks keep each at
+# least half as large as the bound allows. The weight gradient takes runs of
+# as many images with a ragged last one: each block's GEMM sums over its rows
+# (K = its rows, a kh*kw*Cin x Cout output) and the blocks are added in
+# order, so these boundaries fix dW's bits. Per-tap weight-gradient GEMMs (a
+# Cin x Cout output) measured slower.
 _SLICE_ROWS = 8192
-# Bytes of conv2d's im2col workspace: one buffer per forward or weight-gradient
-# call, overwritten block after block. The forward pass cuts its blocks by
-# output image rows to fit it. A weight-gradient block that does not fit is
-# copied one kernel row at a time, as (rows, kw*Cin) slabs of contiguous runs,
-# into a workspace of one slab (6 MiB for WRN-16-2's 16x16x64 convs).
+# Bytes of an im2col copy: one workspace per forward or weight-gradient call,
+# overwritten block after block. A forward block takes fewer images to fit
+# it. A weight-gradient block that does not fit is copied one kernel row at a
+# time, as (rows, kw*Cin) slabs of contiguous runs, into a workspace of one
+# slab (6 MiB for WRN-16-2's 16x16x64 convs).
 _WORKSPACE_BYTES = 9 << 19   # 4.5 MiB
-# Rows of the flat forward pass's slice buffer, (_GRID_ROWS, Cout): 2 MiB for
-# a float32 conv with 32 output channels, 8 MiB with 128.
-_GRID_ROWS = 16384
 # Smallest output height and width that run on the flat padded grid. Each
 # image has (H+2)(W+2) grid rows for H*W outputs (56% more at 8x8); below
 # these floors, measured per shape at batch 32-256, the extra rows cost more
@@ -588,25 +594,23 @@ _FLAT_DX_MIN = 8
 _FLAT_FORWARD_MIN_CIN = 8
 
 
-def _im2col_rows(ws, windows, start, stop):
-    """Output image rows ``start`` to ``stop`` of ``windows``, an (N, Ho,
-    ...) view counted over its flattened N*Ho axis, copied into the front of
-    the workspace ``ws``: the (rows, K) im2col block, one row per output
-    position. Whole images go in one copy, a part of an image in another."""
-    ho, tail = windows.shape[1], windows.shape[2:]
-    block = ws[:(stop - start) * math.prod(tail)].reshape(stop - start, *tail)
-    at = start
-    while at < stop:
-        i, h = divmod(at, ho)
-        if h == 0 and stop - at >= ho:    # whole images, in one copy
-            k = (stop - at) // ho
-            block[at - start:at - start + k * ho].reshape(k, ho, *tail)[...] = windows[i:i + k]
-            at += k * ho
-        else:                             # the rest of this image or of the range
-            e = min(stop, (i + 1) * ho)
-            block[at - start:e - start] = windows[i, h:h + e - at]
-            at = e
-    return block.reshape((stop - start) * tail[0], -1)
+def _image_blocks(n, images):
+    """``(start, stop)`` of each of the fewest equal runs of whole images,
+    at most ``images`` long, that cover a batch of ``n``; the last run is
+    the longest."""
+    count = -(-n // images)
+    ends = [n * i // count for i in range(count + 1)]
+    return list(zip(ends, ends[1:]))
+
+
+def _im2col(ws, windows, start, stop):
+    """Images ``start`` to ``stop`` of ``windows``, an (N, Ho, Wo, ...)
+    view, copied into the front of the workspace ``ws``: the (rows, K)
+    im2col block, one row per output position."""
+    part = windows[start:stop]
+    block = ws[:part.size].reshape(part.shape)
+    block[...] = part
+    return block.reshape(math.prod(part.shape[:3]), -1)
 
 
 def conv2d(x, w, stride=1, padding=0):
@@ -615,40 +619,32 @@ def conv2d(x, w, stride=1, padding=0):
     x: (N, H, W, Cin); w: (kh, kw, Cin, Cout); symmetric zero padding.
     Output spatial extent is floor((in + 2*pad - k)/stride) + 1.
 
-    A stride-1 conv with a kernel larger than 1x1 and more than one input
-    channel runs on the flat padded grid when the BLAS binding is present
-    (``_BLAS_GEMM``): the padded input as (N*Hp*Wp, Cin) rows, on which
-    kernel tap (i, j) is the fixed row offset i*Wp + j. Each tap is then one
-    GEMM that BLAS adds into the result in place (beta = 1): the forward
-    pass, per batch slice, into a grid buffer whose valid corner is copied
-    out, when both output extents are at least _FLAT_FORWARD_MIN and there
-    are at least _FLAT_FORWARD_MIN_CIN input channels; the input gradient
-    into the padded input's grid when both extents are at least
-    _FLAT_DX_MIN. Otherwise the forward pass runs one deep GEMM per im2col
-    block, and the input gradient is shift-and-GEMM: one GEMM per kernel tap,
-    added into that tap's strided view of the padded input. The weight
-    gradient always runs im2col blocks of _SLICE_ROWS outputs. Each call
-    copies its blocks into one workspace, which the next block overwrites:
-    forward blocks are output image rows cut to fit _WORKSPACE_BYTES, and a
-    weight-gradient block larger than that goes in one kernel row at a time,
-    each slab's GEMM writing its rows of dW.
+    ==== ============== ============================== ================================
+    pass path           blocks of whole images         why
+    ==== ============== ============================== ================================
+    y    flat grid      equal, <= _SLICE_ROWS outputs  no im2col copy
+    y    im2col         equal, <= _SLICE_ROWS outputs  one deep GEMM over all taps
+                        and _WORKSPACE_BYTES
+    dX   flat grid      equal, <= _SLICE_ROWS outputs  no per-tap temporary or strided add
+    dX   shift-and-GEMM equal, <= _SLICE_ROWS outputs  any stride, kernel and Cin
+    dW   im2col         _SLICE_ROWS outputs, ragged    the block ends fix dW's bits;
+                        last; kernel-row slabs above   the slabs bound the copy
+                        _WORKSPACE_BYTES
+    ==== ============== ============================== ================================
 
-    With ``padding`` p > 0 the input is zero-padded into a new array, unless
-    ``x.padded`` (set only by ``batch_norm(..., pad=p)``) has exactly the
-    padded shape (N, H+2p, W+2p, Cin): then that buffer, whose interior is
-    ``x.data`` and whose border is zero, is the padded input, with no copy.
-    A buffer of any other shape was padded for another conv and is ignored.
-    The weight gradient reads the padded input again through
-    ``x.padded_by(p)``, which rebuilds it if x was released, unless it is
-    the conv's own copy: only that copy (the stem's, say) is kept for it.
+    The flat grid (stride 1, a kernel above 1x1, Cin > 1 and ``_BLAS_GEMM``
+    bound) reads the padded input as (N*Hp*Wp, Cin) rows, tap (i, j) at row
+    offset i*Wp + j, and adds each tap's GEMM in place; the forward pass takes
+    it when Ho, Wo >= _FLAT_FORWARD_MIN and Cin >= _FLAT_FORWARD_MIN_CIN, dX
+    when Ho, Wo >= _FLAT_DX_MIN. Its dX has shift-and-GEMM's bits up to 256
+    output channels (Cin = 1 would run as matrix-vector products, which add
+    in another order); its forward differs from im2col's in the last bits.
 
-    The flat input gradient adds the same per-tap products in the same order
-    as shift-and-GEMM, so it gives the same bits as long as BLAS does not
-    split the Cout-long sums into blocks (up to 256 output channels with the
-    OpenBLAS numpy bundles). A one-channel input stays on shift-and-GEMM,
-    where numpy runs the products as matrix-vector ones, which add in another
-    order. The flat forward pass adds one sum per tap where im2col makes one
-    sum over all taps, so its float32 results differ in the last bits.
+    With ``padding`` p the conv reads ``x.padded`` when it has the padded
+    shape (see ``batch_norm``), and dW reads it again through
+    ``x.padded_by(p)``, rebuilt if x was released. Otherwise it pads its own
+    copy, which the graph keeps for dW. dX is the interior view of a padded
+    array.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D, got {x.ndim}-D")
@@ -681,6 +677,10 @@ def conv2d(x, w, stride=1, padding=0):
             and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
     kernel = w_flat.reshape(w.shape)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
+    outs = ho * wo                        # outputs per image
+    step = max(1, _SLICE_ROWS // outs)    # images per block
+    blocks = _image_blocks(n, step)
+    most = blocks[-1][1] - blocks[-1][0]
 
     def windows(xp):
         """The im2col matrix as a (N, Ho, Wo, kh, kw, Cin) view of ``xp``."""
@@ -691,40 +691,31 @@ def conv2d(x, w, stride=1, padding=0):
 
     data = np.empty((n, ho, wo, cout), dtype=dtype)
     if flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN:
-        # a slice's last grid rows would read past the slice, and hold no
+        # a block's last grid rows would read past the block, and hold no
         # output position, so the GEMMs stop short of them
         grid = xp.reshape(n * hp * wp, cin)
-        step = max(1, _GRID_ROWS // (hp * wp))
-        buf = np.empty((min(step, n) * hp * wp, cout), dtype=dtype)
-        for b in range(0, n, step):
-            e = min(b + step, n)
+        buf = np.empty((most * hp * wp, cout), dtype=dtype)
+        for b, e in blocks:
             base, rows = b * hp * wp, (e - b) * hp * wp - taps[-1][0]
-            beta = 0   # the first tap overwrites what the last slice left
+            beta = 0   # the first tap overwrites what the last block left
             for off, w_tap in taps:
                 _BLAS_GEMM(buf[:rows], grid[base + off:base + off + rows], w_tap, beta)
                 beta = 1
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
     else:
-        # equal blocks of output image rows, each at most _SLICE_ROWS outputs.
-        # Each output is one GEMM row, so where a block ends moves no bit, as
-        # long as no block is so small that BLAS takes its small-matrix
-        # kernel, which sums in another order: equal blocks keep the last one
-        # at least half as large as the bound allows
-        out = data.reshape(n * ho, wo * cout)
-        step = max(1, min(_SLICE_ROWS, _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)) // wo)
-        count = -(-n * ho // step)
-        ends = [n * ho * i // count for i in range(count + 1)]
-        ws = np.empty(-(-n * ho // count) * wo * kh * kw * cin, dtype=xp.dtype)
+        out = data.reshape(n * outs, cout)
+        fits = _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)
+        cut = _image_blocks(n, max(1, min(_SLICE_ROWS, fits) // outs))
+        ws = np.empty((cut[-1][1] - cut[-1][0]) * outs * kh * kw * cin, dtype=xp.dtype)
         win = windows(xp)
-        for a, b in zip(ends, ends[1:]):
-            np.matmul(_im2col_rows(ws, win, a, b), w_flat, out=out[a:b].reshape(-1, cout))
+        for b, e in cut:
+            np.matmul(_im2col(ws, win, b, e), w_flat, out=out[b * outs:e * outs])
 
     def grad_w(g):
         # x's own array, rebuilt if x was released, or the copy
         win = windows(x.padded_by(padding) if copy is None else copy)
-        g_flat = g.reshape(n * ho * wo, cout)
-        step = max(1, _SLICE_ROWS // (ho * wo))
-        block_bytes = min(step, n) * ho * wo * kh * kw * cin * win.itemsize
+        g_flat = g.reshape(n * outs, cout)
+        block_bytes = min(step, n) * outs * kh * kw * cin * win.itemsize
         # kernel-row slabs, unless the block fits or they are one value wide:
         # numpy runs a one-column GEMM as a vector product, adding in another
         # order. A slab is a third or more of a block above the bound, so its
@@ -737,8 +728,7 @@ def conv2d(x, w, stride=1, padding=0):
         for b in range(0, n, step):
             e = min(b + step, n)
             for part, rows in zip(parts, prod):
-                cols = _im2col_rows(ws, part, b * ho, e * ho)
-                np.matmul(cols.T, g_flat[b * ho * wo:e * ho * wo], out=rows)
+                np.matmul(_im2col(ws, part, b, e).T, g_flat[b * outs:e * outs], out=rows)
             if prod is not gw:
                 gw += prod
             elif e < n:
@@ -746,30 +736,29 @@ def conv2d(x, w, stride=1, padding=0):
         return gw.reshape(w.shape)
 
     def grad_x(g):
+        gxp = np.zeros(xp_shape, dtype=xp_dtype)
         if flat and min(ho, wo) >= _FLAT_DX_MIN:
-            # g sits in the top-left corner of a zero grid, so grid row r
-            # holds the gradient of the output that tap (i, j) computed
-            # from padded row r + i*wp + j, and every other row is zero
-            g_grid = np.zeros((n, hp, wp, cout), dtype=dtype)
-            g_grid[:, :ho, :wo] = g
-            g_grid = g_grid.reshape(n * hp * wp, cout)
-            gxp = np.zeros(xp_shape, dtype=dtype)
-            gx_grid = gxp.reshape(n * hp * wp, cin)
-            for off, w_tap in taps:
-                _BLAS_GEMM(gx_grid[off:], g_grid[:len(g_grid) - off], w_tap.T, 1)
-            del g_grid
+            # a block of g sits in the top-left corners of a zero grid, so
+            # grid row r holds the gradient of the output that tap (i, j)
+            # computed from padded row r + i*wp + j, and every other row is
+            # zero; the blocks overwrite only the corners
+            g_grid = np.zeros((most, hp, wp, cout), dtype=dtype)
+            for b, e in blocks:
+                g_grid[:e - b, :ho, :wo] = g[b:e]
+                g_rows = g_grid[:e - b].reshape(-1, cout)
+                gx_rows = gxp[b:e].reshape(-1, cin)
+                for off, w_tap in taps:
+                    _BLAS_GEMM(gx_rows[off:], g_rows[:len(g_rows) - off], w_tap.T, 1)
         else:
-            g_flat = g.reshape(n * ho * wo, cout)
-            gxp = np.zeros(xp_shape, dtype=xp_dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    # the padded-input positions that tap (i, j) reads
-                    view = gxp[:, i : i + stride * ho : stride,
-                               j : j + stride * wo : stride, :]
-                    view += (g_flat @ w.data[i, j].T).reshape(n, ho, wo, cin)
-        if padding > 0:
-            gxp = gxp[:, padding : padding + h, padding : padding + wd, :]
-        return gxp
+            for b, e in blocks:
+                g_rows = g[b:e].reshape(-1, cout)
+                for i in range(kh):
+                    for j in range(kw):
+                        # the padded-input positions that tap (i, j) reads
+                        view = gxp[b:e, i : i + stride * ho : stride,
+                                   j : j + stride * wo : stride, :]
+                        view += (g_rows @ kernel[i, j].T).reshape(e - b, ho, wo, cin)
+        return gxp[:, padding : padding + h, padding : padding + wd, :]
 
     return _result(data, "conv2d", (x, grad_x), (w, grad_w))
 

@@ -89,6 +89,57 @@ def conv2d_im2col_blocks(x, w, g, stride=1, padding=0, slice_rows=8192):
     return out.reshape(n, ho, wo, cout), dw.reshape(w.shape)
 
 
+def _flat_grid(x, w, padding):
+    """The zero-padded input, its (N*Hp*Wp, Cin) rows and each kernel tap's
+    (row offset, (Cin, Cout) matrix) on them."""
+    n, h, wd, cin = x.shape
+    kh, kw = w.shape[:2]
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + wd, :] = x
+    wp = xp.shape[2]
+    taps = [(i * wp + j, w[i, j]) for i in range(kh) for j in range(kw)]
+    return xp, xp.reshape(-1, cin), taps
+
+
+def conv2d_flat_forward_slices(gemm, x, w, padding=1, grid_rows=16384):
+    """A stride-1 conv's output on the flat padded grid, in slices of as many
+    whole images as fill ``grid_rows`` grid rows (at least one), the last
+    slice ragged: per slice, one ``gemm(c, a, b, beta)`` per kernel tap into
+    a (grid rows, Cout) buffer, the first overwriting it, whose valid corner
+    is the output."""
+    kh, kw, _, cout = w.shape
+    xp, grid, taps = _flat_grid(x, w, padding)
+    n, hp, wp, _ = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    out = np.empty((n, ho, wo, cout), dtype=x.dtype)
+    step = max(1, grid_rows // (hp * wp))
+    for b in range(0, n, step):
+        e = min(b + step, n)
+        buf = np.empty(((e - b) * hp * wp, cout), dtype=x.dtype)
+        rows = len(buf) - taps[-1][0]
+        for k, (off, w_tap) in enumerate(taps):
+            gemm(buf[:rows], grid[b * hp * wp + off:b * hp * wp + off + rows], w_tap, int(k > 0))
+        out[b:e] = buf.reshape(e - b, hp, wp, cout)[:, :ho, :wo]
+    return out
+
+
+def conv2d_flat_dx_whole_grid(gemm, g, w, x_shape, padding=1):
+    """A stride-1 conv's input gradient on one flat grid of the whole batch:
+    g in the top-left corners of a zero (N*Hp*Wp, Cout) grid, and per kernel
+    tap one ``gemm`` of it, shifted by the tap's row offset, into the padded
+    input gradient's rows."""
+    n, h, wd, _ = x_shape
+    cout = w.shape[3]
+    gxp, gx_rows, taps = _flat_grid(np.zeros(x_shape, dtype=g.dtype), w, padding)
+    _, hp, wp, _ = gxp.shape
+    g_grid = np.zeros((n, hp, wp, cout), dtype=g.dtype)
+    g_grid[:, :g.shape[1], :g.shape[2]] = g
+    g_rows = g_grid.reshape(-1, cout)
+    for off, w_tap in taps:
+        gemm(gx_rows[off:], g_rows[:len(g_rows) - off], w_tap.T, 1)
+    return gxp[:, padding:padding + h, padding:padding + wd, :]
+
+
 def fold_shape_three_branch(c, fold_n=None, fold_m=None):
     """The folded map's (n, m) by the earlier three-case rule: both given
     (checked), n alone (kept when it splits C into whole row pairs, else m

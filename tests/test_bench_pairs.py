@@ -45,6 +45,10 @@ def test_one_pair_against_head(tmp_path):
     for m in row["metrics"].values():
         assert len(m["parent"]["values"]) == len(m["change"]["values"]) == 1
         assert m["change_wins"] + m["ties"] <= 1
+    for side in ("parent", "change"):
+        (machine,) = row["machine"][side]
+        assert machine["cpu_s"] > 0
+        assert machine["steal_jiffies"] is None or machine["steal_jiffies"] >= 0
 
 
 def benchmark_children(pid):
@@ -143,3 +147,32 @@ def test_pair_ratio_median_ignores_a_machine_speed_switch_between_pairs():
     assert row["rel_change"] < -0.2 and row["change_wins"] == 9
     assert 1.009 < row["pair_ratio_median"] < 1.02
     assert row["pair_ratio_q1"] <= row["pair_ratio_median"] <= row["pair_ratio_q3"]
+
+
+STAT = """cpu  7020031 0 64250 9379986 9930 0 2232 44581 0 0
+cpu0 3565934 0 46425 4612710 8651 0 1834 26143 0 0
+cpu1 3454096 0 17824 4767275 1279 0 398 18438 0 0
+intr 23354002 0 0 0
+ctxt 11073388
+"""
+
+
+def test_steal_is_the_eighth_value_of_the_cpu_line():
+    assert bench_pairs.steal_jiffies(STAT) == 44581
+    # a kernel too old to count steal time, and a text without a cpu line
+    assert bench_pairs.steal_jiffies("cpu  1 2 3 4 5 6 7\n") is None
+    assert bench_pairs.steal_jiffies("intr 1 2\n") is None
+
+
+def test_machine_record_is_the_difference_over_the_run():
+    record = bench_pairs.machine_record((12.25, 44581), (42.5, 44620))
+    assert record == {"cpu_s": 30.25, "steal_jiffies": 39}
+    assert bench_pairs.machine_record((0.0, None), (1.0, 5))["steal_jiffies"] is None
+    assert bench_pairs.machine_text(record) == "cpu 30.2 s, steal 39"
+    assert bench_pairs.machine_text({"cpu_s": 1.0, "steal_jiffies": None}) == "cpu 1.0 s, steal ?"
+
+
+def test_machine_now_reads_this_process_s_children():
+    cpu, steal = bench_pairs.machine_now()
+    assert cpu >= 0
+    assert steal is None or steal >= 0

@@ -342,7 +342,7 @@ def test_block_squeezes_the_shortcut_only_for_a_unit_that_reads_it(monkeypatch, 
 def test_identity_block_forward_peak_without_a_graph():
     # WRN-16-2 stage-1 identity block at batch 64, as evaluation runs it:
     # beyond its input it peaks at one padded activation, one conv output and
-    # the conv's slice buffer (2.38x the input). With batch norm's temporary,
+    # the conv's block buffer (2.27x the input). With batch norm's temporary,
     # the product array of the tail and no early frees it peaked at 4.51x
     model = build(wrn(16, 2, mode="folded3x3", t=4), rng=np.random.default_rng(0))
     model.eval()
@@ -485,6 +485,119 @@ def test_projection_block_graph_holds_no_projection_output(monkeypatch):
     assert x.grad is not None and blk.proj.weight.grad is not None
     _, held_with_it = held_after_forward(keep=True)
     assert abs(held_with_it - held - kept[0].nbytes) < 1024
+
+
+def copying_accumulate_grad(self, g):
+    """``Tensor.accumulate_grad`` that copies every first gradient into a
+    C-ordered array."""
+    if self.grad is None:
+        self.grad = np.asarray(g, dtype=self.dtype, order="C")
+    else:
+        self.grad = (self.grad + g).astype(self.dtype, copy=False)
+
+
+@pytest.mark.parametrize("kind", list(RELEASING_BLOCKS))
+def test_block_gradients_are_bitwise_those_of_copied_first_gradients(kind, monkeypatch):
+    blk = ResidualBlock(RELEASING_BLOCKS[kind], rng=np.random.default_rng(3))
+    got = block_gradients(blk, blk)
+    monkeypatch.setattr(Tensor, "accumulate_grad", copying_accumulate_grad)
+    want = block_gradients(blk, blk)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_pre_activation_gradient_is_a_view_of_its_conv_s_padded_input_gradient(monkeypatch):
+    # each pre-activation of an identity block has one reader, its 3x3 conv,
+    # whose input gradient is the interior of a padded array: it is stored
+    # as given, not copied
+    blk = ResidualBlock(RELEASING_BLOCKS["identity"], rng=np.random.default_rng(3))
+    stored = []
+    accumulate = Tensor.accumulate_grad
+
+    def spy(self, g):
+        accumulate(self, g)
+        if self.name == "batch_norm" and self.padded is not None:   # a pre-activation
+            stored.append((self.grad, g, self.padded.shape))
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+    block_gradients(blk, blk)
+    assert len(stored) == 2
+    for grad, g, padded_shape in stored:
+        assert grad is g and not grad.flags.c_contiguous
+        assert g.base is not None and g.base.shape == padded_shape
+        assert np.shares_memory(grad, g.base)
+
+
+def test_a_read_only_first_gradient_is_copied():
+    # a pool's gradient is a stride-0 broadcast: no tensor keeps one
+    x = Tensor(np.ones((2, 3, 3, 4), np.float32), requires_grad=True)
+    T.sum_over(T.global_avg_pool(x), (0, 1)).backward()
+    assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, np.full(x.shape, 1 / 9, np.float32))
+
+
+def pool_inputs(monkeypatch):
+    """The inputs of every ``global_avg_pool`` call from here on."""
+    seen = []
+    pool = T.global_avg_pool
+
+    def spy(h):
+        seen.append(h)
+        return pool(h)
+
+    monkeypatch.setattr(T, "global_avg_pool", spy)
+    return seen
+
+
+def network_step(model, hold_final, monkeypatch):
+    """The traced bytes held after a training forward and every parameter's
+    gradient after its backward; with ``hold_final`` the final batch norm's
+    output is not released."""
+    seen = pool_inputs(monkeypatch)
+    release = Tensor.release
+    monkeypatch.setattr(Tensor, "release",
+                        lambda t: None if hold_final and t in seen else release(t))
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((16, 32, 32, 3), dtype=np.float32))
+    model.train()
+    model.zero_grad()
+    tracemalloc.start()
+    try:
+        logits = model.forward(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    T.cross_entropy(logits, np.arange(16) % 10).backward()
+    monkeypatch.undo()
+    return held, seen[-1], [p.grad for p in model.parameters()]
+
+
+def test_final_batch_norm_output_is_released_after_the_pool(monkeypatch):
+    # only its own mask reads it in backward, which rebuilds it; the pool
+    # needs its shape
+    model = tiny(mode="folded3x3")
+    network_step(model, False, monkeypatch)   # first calls allocate a few caches
+    held, out, got = network_step(model, False, monkeypatch)
+    assert out.shape == (16, 8, 8, 64)
+    held_with_it, kept, want = network_step(model, True, monkeypatch)
+    assert abs(held_with_it - held - kept.data.nbytes) < kept.data.nbytes / 32
+    assert len(got) == len(want) and all(g is not None for g in got)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_a_forward_without_a_graph_releases_no_final_output(training, monkeypatch):
+    model = tiny()
+    model.train() if training else model.eval()
+    seen = pool_inputs(monkeypatch)
+    with no_grad():
+        model.forward(Tensor(np.ones((2, 16, 16, 3), np.float32)))
+    assert seen[-1].data.shape == (2, 4, 4, 64)
+    model.train()
+    model.forward(Tensor(np.ones((2, 16, 16, 3), np.float32)))
+    with pytest.raises(ActivationReleasedError):
+        seen[-1].data
 
 
 def test_attention_units_one_per_block():

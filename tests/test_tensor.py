@@ -17,7 +17,8 @@ from cmpese.network import NetworkSpec, build
 from cmpese.tensor import Tensor, finite_checks, no_grad
 
 from oracles import (batch_norm_saving_xn, channel_scale_add_composite, conv2d_dx_shift_gemm,
-                     conv2d_im2col_blocks, conv2d_loops, sigmoid_by_sign)
+                     conv2d_flat_dx_whole_grid, conv2d_flat_forward_slices, conv2d_im2col_blocks,
+                     conv2d_loops, sigmoid_by_sign)
 
 RNG = np.random.default_rng(20240811)
 
@@ -110,13 +111,12 @@ def test_conv2d_paths_match_loop_reference(conv_path):
 
 
 def test_conv2d_batch_spanning_several_slices_matches_loop_reference(monkeypatch):
-    # 64x64 outputs per image: two images fill the first im2col slice of
-    # _SLICE_ROWS rows, or the first flat-grid slice of _GRID_ROWS rows, and
-    # the third is a ragged last slice
+    # 64x64 outputs per image: two images fill a block of _SLICE_ROWS
+    # outputs, so the three go as equal blocks of one and two images
     x = RNG.standard_normal((3, 64, 64, 2))
     w = RNG.standard_normal((3, 3, 2, 2))
     assert T._SLICE_ROWS // (64 * 64) == 2
-    monkeypatch.setattr(T, "_GRID_ROWS", 2 * 66 * 66 + 1)
+    assert T._image_blocks(3, 2) == [(0, 1), (1, 3)]
     got = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
     np.testing.assert_allclose(got, conv2d_loops(x, w, 1, 1), rtol=1e-10, atol=1e-12)
     monkeypatch.setattr(T, "_BLAS_GEMM", None)
@@ -155,8 +155,8 @@ IM2COL_SHAPES = [
 ]
 
 
-# a 1 MiB workspace cuts forward blocks inside images and copies each larger
-# dW block in slabs; a 40 kB one would copy the scan's 64 kB dW block in
+# a 1 MiB workspace cuts forward blocks of fewer images, or of one image
+# where one is larger, and copies each larger dW block in slabs; a 40 kB one would copy the scan's 64 kB dW block in
 # slabs one value wide, which it must not
 @pytest.mark.parametrize("x_shape, w_shape, stride, workspace",
                          [(*shape, ws) for shape in IM2COL_SHAPES for ws in (None, 1 << 20)]
@@ -181,13 +181,14 @@ def test_conv2d_workspace_is_bitwise_the_whole_image_blocks(x_shape, w_shape, st
 
 
 def test_conv2d_forward_blocks_are_equal(monkeypatch):
-    # 129 images of 4x4 outputs over 64 channels: the bound allows 512 image
-    # rows, and 516 cut as 512 + 4 would leave a last GEMM of 16 rows, which
-    # BLAS runs in its small-matrix kernel with other bits; 258 + 258 do not
+    # 129 images of 4x4 outputs over 64 channels: the bound allows 128
+    # images, and 129 cut as 128 + 1 would leave a last GEMM of 16 rows, which
+    # BLAS runs in its small-matrix kernel with other bits; 64 + 65 do not
     monkeypatch.setattr(T, "_BLAS_GEMM", None)
     x = RNG.standard_normal((129, 4, 4, 64), dtype=np.float32)
     w = RNG.standard_normal((3, 3, 64, 64), dtype=np.float32)
-    assert T._WORKSPACE_BYTES // (9 * 64 * 4) // 4 == 512
+    assert T._WORKSPACE_BYTES // (9 * 64 * 4) // 16 == 128
+    assert T._image_blocks(129, 128) == [(0, 64), (64, 129)]
     with no_grad():
         y = T.conv2d(Tensor(x), Tensor(w), padding=1).data
     want, _ = conv2d_im2col_blocks(x, w, np.zeros_like(y), 1, 1, T._SLICE_ROWS)
@@ -332,6 +333,11 @@ def test_single_channel_convs_stay_on_shift_and_gemm(x_shape, w_shape, padding, 
         assert flat_conv.calls == 0
 
 
+# the equal blocks of whole images that a pass cuts these batches into: 8
+# images a block at 32x32, 32 at 16x16; every other routing shape is one block
+ROUTING_BLOCKS = {(64, 32, 32, 32): 8, (64, 16, 16, 64): 2, (9, 32, 32, 8): 2}
+
+
 @pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
 @pytest.mark.parametrize("x_shape,w_shape,stride,forward_flat,dx_flat", [
     ((64, 32, 32, 32), (3, 3, 32, 32), 1, True, True),
@@ -342,23 +348,51 @@ def test_single_channel_convs_stay_on_shift_and_gemm(x_shape, w_shape, padding, 
     ((8, 32, 32, 8), (3, 3, 8, 16), 1, True, True),
     ((8, 32, 32, 32), (3, 3, 32, 64), 2, False, False),
     ((8, 32, 32, 32), (1, 1, 32, 64), 1, False, False),
+    ((9, 32, 32, 8), (3, 3, 8, 16), 1, True, True),        # 4 + 5 images
 ])
 def test_conv2d_routing_rule(x_shape, w_shape, stride, forward_flat, dx_flat, monkeypatch):
+    # a flat pass makes one GEMM per kernel tap and block
+    blocks = ROUTING_BLOCKS.get(x_shape, 1)
     spy = GemmSpy(T._BLAS_GEMM)
     monkeypatch.setattr(T, "_BLAS_GEMM", spy)
     x = Tensor(np.ones(x_shape, np.float32), requires_grad=True)
     w = Tensor(np.ones(w_shape, np.float32))
     y = T.conv2d(x, w, stride=stride, padding=1 if w_shape[0] == 3 else 0)
-    assert (spy.calls > 0) == forward_flat
+    assert spy.calls == (9 * blocks if forward_flat else 0)
     spy.calls = 0
     y.backward(np.ones(y.shape, np.float32))
-    assert spy.calls == (9 if dx_flat else 0)
+    assert spy.calls == (9 * blocks if dx_flat else 0)
+
+
+# (input, kernel): the stride-1 multi-channel IM2COL_SHAPES, WRN-16-2's
+# stage-1 and stage-2 convs at the eval batch of 256, and a ragged batch of
+# 9 images at 32x32 (blocks of 4 and 5)
+FLAT_SHAPES = ([shape[:2] for shape in IM2COL_SHAPES if shape[2] == 1 and shape[0][3] > 1]
+               + [((256, 32, 32, 32), (3, 3, 32, 32)), ((256, 16, 16, 64), (3, 3, 64, 64)),
+                  ((9, 32, 32, 32), (3, 3, 32, 32))])
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+@pytest.mark.parametrize("x_shape,w_shape", FLAT_SHAPES)
+def test_flat_blocks_are_bitwise_the_grid_slices_and_the_whole_batch_grid(x_shape, w_shape,
+                                                                         flat_conv):
+    # the forward pass against slices of 16384 grid rows, the input gradient
+    # against one grid of the whole batch: equal blocks of whole images move
+    # no bit
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal(x_shape, dtype=np.float32), requires_grad=True)
+    w = rng.standard_normal(w_shape, dtype=np.float32)
+    y = T.conv2d(x, Tensor(w), stride=1, padding=1)
+    assert np.array_equal(y.data, conv2d_flat_forward_slices(flat_conv.gemm, x.data, w))
+    g = rng.standard_normal(y.shape, dtype=np.float32)
+    y.backward(g)
+    assert np.array_equal(x.grad, conv2d_flat_dx_whole_grid(flat_conv.gemm, g, w, x_shape))
 
 
 @pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
 def test_flat_dx_peaks_near_two_padded_inputs():
-    # the gradient's grid and the padded input gradient; the first is freed
-    # before the padding is cropped off (that crop is a copy)
+    # the padded input gradient, whose interior view is x's gradient, and one
+    # block's gradient grid of 8 images: an eighth of the batch's
     x = Tensor(RNG.standard_normal((64, 32, 32, 32), dtype=np.float32), requires_grad=True)
     w = Tensor(RNG.standard_normal((3, 3, 32, 32), dtype=np.float32))
     y = T.conv2d(x, w, stride=1, padding=1)
@@ -372,14 +406,14 @@ def test_flat_dx_peaks_near_two_padded_inputs():
     finally:
         tracemalloc.stop()
     assert x.grad is not None
-    assert peak - before <= 2.5 * padded_bytes
+    assert peak - before <= padded_bytes + 8 * 34 * 34 * 32 * 4 + 2 ** 16
 
 
 @pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
 def test_flat_forward_slice_buffer_stays_bounded_at_eval_batch():
     # batch 256, as the eval workload runs: beyond the padded input and the
-    # output, the forward pass holds one slice buffer of at most _GRID_ROWS
-    # rows, less than the im2col block the other path would build
+    # output, the forward pass holds one block's grid buffer, of 8 images,
+    # less than the im2col block the other path would build
     n, cin, cout = 256, 32, 32
     x = Tensor(RNG.standard_normal((n, 32, 32, cin), dtype=np.float32))
     w = Tensor(RNG.standard_normal((3, 3, cin, cout), dtype=np.float32))
@@ -394,7 +428,7 @@ def test_flat_forward_slice_buffer_stays_bounded_at_eval_batch():
         tracemalloc.stop()
     assert y.shape == (n, 32, 32, cout)
     extra = peak - before - padded_bytes - out_bytes
-    assert extra <= T._GRID_ROWS * cout * 4 + 2 ** 16
+    assert extra <= 8 * 34 * 34 * cout * 4 + 2 ** 16
     assert extra < T._SLICE_ROWS * 9 * cin * 4
 
 
