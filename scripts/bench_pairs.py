@@ -23,7 +23,11 @@ result line, and the environment line of the first run. Per run it records
 what the run got from the machine: the benchmark process's user + sys CPU
 seconds, and the machine's steal time over the run in jiffies (from
 ``/proc/stat``; null where that cannot be read). A side that got less CPU or
-more steal than its pair's other side ran on a slower machine.
+more steal than its pair's other side ran on a slower machine. Just before
+each run, a fresh process of the benchmark's interpreter times a fixed
+probe, one 2048x2048 float32 matmul and one 64 MiB copy, each the best of 3
+after a warm-up; the run's record holds the two times in seconds
+(``probe_gemm_s``, ``probe_copy_s``), or nulls when the probe failed.
 
 ``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``; ``--seeds``
 to 1 up to the number of pairs. On SIGTERM the script stops the running
@@ -121,15 +125,50 @@ def machine_record(before, after):
     return {"cpu_s": round(cpu1 - cpu0, 3), "steal_jiffies": steal}
 
 
+PROBE_KEYS = ("probe_gemm_s", "probe_copy_s")
+PROBE = """
+import json, time
+import numpy as np
+
+def best(fn):
+    fn()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+a = np.random.default_rng(0).standard_normal((2048, 2048), dtype=np.float32)
+src = np.ones(64 * 2**20 // 4, dtype=np.float32)
+dst = np.empty_like(src)
+print(json.dumps({"probe_gemm_s": best(lambda: a @ a),
+                  "probe_copy_s": best(lambda: np.copyto(dst, src))}))
+"""
+
+
+def probe(python, code=PROBE):
+    """The calibration probe's times in seconds, keyed by ``PROBE_KEYS``,
+    from a fresh ``python`` process running ``code``; nulls when it fails."""
+    try:
+        proc = subprocess.run([python, "-c", code], capture_output=True, text=True,
+                              timeout=300)
+        times = json.loads(proc.stdout)
+        return {k: round(float(times[k]), 6) for k in PROBE_KEYS}
+    except (OSError, subprocess.SubprocessError, ValueError, TypeError, KeyError):
+        return dict.fromkeys(PROBE_KEYS)
+
+
 def run_once(command, cwd, workload, seed, seconds):
     """One benchmark process: (environment line, result dict with the
-    run's ``machine_record`` under ``machine``), or (None, None) when it
-    gave no result line."""
+    run's ``machine_record`` and the ``probe`` timed just before it under
+    ``machine``), or (None, None) when it gave no result line."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    probed = probe(command[0])
     before = machine_now()
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
-    machine = machine_record(before, machine_now())
+    machine = {**machine_record(before, machine_now()), **probed}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -142,8 +181,14 @@ def run_once(command, cwd, workload, seed, seconds):
 
 
 def machine_text(record):
-    steal = record["steal_jiffies"]
-    return f"cpu {record['cpu_s']:.1f} s, steal {'?' if steal is None else steal}"
+    def known(value, spec):
+        return "?" if value is None else format(value, spec)
+
+    text = f"cpu {record['cpu_s']:.1f} s, steal {known(record['steal_jiffies'], 'd')}"
+    if "probe_gemm_s" in record:
+        text += (f", probe gemm {known(record['probe_gemm_s'], '.3f')} s"
+                 f" copy {known(record['probe_copy_s'], '.4f')} s")
+    return text
 
 
 def quartiles(values):

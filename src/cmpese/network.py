@@ -171,11 +171,18 @@ class ResidualBlock(Module):
         pre-activation is released: a graph then holds none of them, and
         backward rebuilds each for its readers (``Tensor.release``). Without
         a graph nothing is released; rebinding ``h`` and dropping ``pre``
-        free each activation before the next is built."""
+        free each activation before the next is built.
+
+        A projection block's input has no reader after bn1, but its caller
+        still holds it. So when neither it nor bn1's output is in a graph,
+        it is dropped there (``Tensor.drop``); in a graph it is bn1's input,
+        and a leaf that requires grad is kept for whoever made it."""
         h, x_id = x, x
         for i, (bn, conv) in enumerate(self.units):
             h = bn(h, relu=True, pad=conv.padding)
             if i == 0 and self.proj is not None:
+                if not (h.requires_grad or x.requires_grad):
+                    x.drop()
                 x_id = self.proj(h)
             pre, h = h, conv(h)
             pre.release()

@@ -199,7 +199,9 @@ class Tensor:
         ``ActivationReleasedError``. Unless ``release`` called it, they are
         gone for good: for a tensor whose gradient functions read nothing
         else of it, such as a block's projection output (see
-        ``network.ResidualBlock.forward``)."""
+        ``network.ResidualBlock.forward``), or for one outside any graph
+        that no op will read again, such as a projection block's input once
+        its bn1 has run without a graph (``branch_and_shortcut``)."""
         # a stride-0 view of one value: the shape and dtype without the bytes
         self._husk = np.broadcast_to(np.zeros((), self.dtype), self.shape)
         del self.data, self.padded
@@ -899,12 +901,15 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
         return _by_channel(np.multiply, xn, inv_std, out=xn)
 
     def grad_x(g):
+        # x's product runs last, so it may write over this op's own products:
+        # masked(g) with relu (without, it is g itself) and xn
+        gx = masked(g)
+        own = relu and gx.flags.c_contiguous
+        gx = _by_channel(np.multiply, gx, gamma.data, out=gx if own else None)
         if not training:
-            return masked(g) * gamma.data * inv_std
-        # inv_std * (gxn - mean(gxn) - xn * mean(gxn * xn)), in place; x's
-        # product runs last, so it may write over xn
+            return _by_channel(np.multiply, gx, inv_std, out=gx)
+        # inv_std * (gxn - mean(gxn) - xn * mean(gxn * xn)), in place
         xn = normalized(g)
-        gx = _by_channel(np.multiply, masked(g), gamma.data)
         gm = _mean_leading(gx, axes)
         gv = _mean_leading(gx, axes, xn)
         _by_channel(np.subtract, gx, gm, out=gx)

@@ -49,6 +49,7 @@ def test_one_pair_against_head(tmp_path):
         (machine,) = row["machine"][side]
         assert machine["cpu_s"] > 0
         assert machine["steal_jiffies"] is None or machine["steal_jiffies"] >= 0
+        assert all(machine[k] is None or machine[k] > 0 for k in bench_pairs.PROBE_KEYS)
 
 
 def benchmark_children(pid):
@@ -176,3 +177,37 @@ def test_machine_now_reads_this_process_s_children():
     cpu, steal = bench_pairs.machine_now()
     assert cpu >= 0
     assert steal is None or steal >= 0
+
+
+def test_each_run_records_the_probe_timed_before_it(monkeypatch, tmp_path):
+    probed = []
+
+    def stub_probe(python):
+        probed.append(python)
+        return {"probe_gemm_s": 0.25, "probe_copy_s": 0.0125}
+
+    monkeypatch.setattr(bench_pairs, "probe", stub_probe)
+    result_line = json.dumps({"metrics": {}, "failed": 0, "attempted": 1})
+    command = [sys.executable, "-c", f"print('environment: stub'); print({result_line!r})"]
+    env, result = bench_pairs.run_once(command, str(tmp_path), "train-desk-allmodes", 3, 0)
+    assert probed == [sys.executable]
+    assert env == "environment: stub"
+    machine = result["machine"]
+    assert (machine["probe_gemm_s"], machine["probe_copy_s"]) == (0.25, 0.0125)
+    assert machine["cpu_s"] >= 0
+    assert bench_pairs.machine_text(machine).endswith(", probe gemm 0.250 s copy 0.0125 s")
+
+
+def test_a_failed_probe_records_nulls():
+    for code in ("raise SystemExit(3)", "print('no json')", "print('{}')"):
+        assert bench_pairs.probe(sys.executable, code) == {"probe_gemm_s": None,
+                                                           "probe_copy_s": None}
+    assert bench_pairs.probe(os.path.join(ROOT, "no-such-python"))["probe_gemm_s"] is None
+    record = {"cpu_s": 1.0, "steal_jiffies": 2, "probe_gemm_s": None, "probe_copy_s": None}
+    assert bench_pairs.machine_text(record) == "cpu 1.0 s, steal 2, probe gemm ? s copy ? s"
+
+
+def test_the_probe_times_a_gemm_and_a_copy():
+    times = bench_pairs.probe(sys.executable)
+    assert set(times) == set(bench_pairs.PROBE_KEYS)
+    assert all(t > 0 for t in times.values())

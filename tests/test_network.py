@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmpese.attention import AttentionConfig, make_attention_unit, recalibrate_and_add
+from cmpese.attention import (
+    AttentionConfig,
+    AttentionMode,
+    make_attention_unit,
+    recalibrate_and_add,
+)
+from cmpese.data import Dataset
 from cmpese.errors import ActivationReleasedError, ConfigError, ShapeError
 from cmpese.gradcheck import gradcheck
 from cmpese.network import (
@@ -24,6 +30,7 @@ from cmpese.network import (
 )
 from cmpese import tensor as T
 from cmpese.tensor import Tensor, no_grad
+from cmpese.train import evaluate
 
 
 def wrn(depth, k, mode="none", classes=10, **att):
@@ -359,6 +366,98 @@ def test_identity_block_forward_peak_without_a_graph():
         tracemalloc.stop()
     assert y.shape == x.shape
     assert peak - before <= 2.7 * x.data.nbytes
+
+
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_wrn_16_2_forward_without_a_graph_frees_each_projection_block_s_input():
+    # above the parameters and the input, a WRN-16-2 eval forward at batch
+    # 64 peaks at a block conv2: its shortcut, padded pre-activation and
+    # output. Keeping the input of each projection block through that block
+    # peaked at 30.2 MiB
+    x = np.random.default_rng(1).standard_normal((64, 32, 32, 3), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        model = build(wrn(16, 2, mode="folded3x3", t=4), rng=np.random.default_rng(0))
+        model.eval()
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            logits = model.forward(Tensor(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (64, 10)
+    assert peak - before <= 27.5 * 2**20
+
+
+def projection_block_and_input(requires_grad=False):
+    """The ``projection`` block of ``RELEASING_BLOCKS`` in eval mode, and an
+    input to it: an op output, or a leaf that requires grad."""
+    blk = ResidualBlock(RELEASING_BLOCKS["projection"], rng=np.random.default_rng(6))
+    blk.eval()
+    a = np.random.default_rng(7).standard_normal((2, 8, 8, 8), dtype=np.float32)
+    if requires_grad:
+        return blk, Tensor(a, requires_grad=True)
+    with no_grad():
+        return blk, T.scale(Tensor(a), 1.0)
+
+
+def test_a_projection_block_without_a_graph_drops_its_input():
+    # its bn1 was the input's last reader
+    blk, x = projection_block_and_input()
+    with no_grad():
+        y = blk(x)
+    assert y.shape == (2, 4, 4, 16)
+    assert x.shape == (2, 8, 8, 8) and x.dtype == np.float32
+    with pytest.raises(ActivationReleasedError):
+        x.data
+
+
+def test_a_projection_block_keeps_a_leaf_that_requires_grad():
+    # gradcheck's finite differences run the block under no_grad on it
+    blk, x = projection_block_and_input(requires_grad=True)
+    want = x.data.copy()
+    with no_grad():
+        blk(x)
+    assert np.array_equal(x.data, want)
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_a_projection_block_in_a_graph_keeps_its_input(requires_grad):
+    # in a graph the input is bn1's input, which its backward reads
+    blk, x = projection_block_and_input(requires_grad)
+    blk.train()
+    want = x.data.copy()
+    y = blk(x)
+    assert y.requires_grad and np.array_equal(x.data, want)
+    T.sum_over(y, (0, 1, 2, 3)).backward()
+    assert blk.bn1.gamma.grad is not None
+
+
+def evaluated(model, ds):
+    """Top-1 and top-5 error of ``evaluate`` in batches of 4, and the
+    logits of one forward of every image without a graph."""
+    errors = evaluate(model, ds, batch_size=4, topk=(1, 5))
+    with no_grad():
+        return errors, model.forward(Tensor(ds.images)).data
+
+
+@pytest.mark.parametrize("mode", [m.value for m in AttentionMode])
+def test_evaluation_is_bitwise_that_of_a_forward_that_drops_nothing(mode, monkeypatch):
+    model = tiny(mode=mode)
+    rng = np.random.default_rng(9)
+    ds = Dataset(rng.standard_normal((10, 16, 16, 3), dtype=np.float32),
+                 rng.integers(0, 10, 10), 10, "test")
+    dropped, drop = [], Tensor.drop
+    monkeypatch.setattr(Tensor, "drop", lambda t: dropped.append(t.shape) or drop(t))
+    got_errors, got = evaluated(model, ds)
+    # in each of the four forwards, each projection block drops its input
+    # after bn1 and its projection output after the tail
+    assert len(dropped) == 4 * 4
+    assert dropped[-4:] == [(10, 16, 16, 16), (10, 8, 8, 32), (10, 8, 8, 32), (10, 4, 4, 64)]
+    monkeypatch.setattr(Tensor, "drop", lambda t: None)
+    want_errors, want = evaluated(model, ds)
+    assert got_errors == want_errors
+    assert np.array_equal(got, want)
 
 
 def test_identity_block_graph_holds_no_pre_activation():
