@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print two sha256 digests per attention mode of a short seeded training run.
+"""Print two sha256 digests per attention mode of a short seeded training
+run, and one of a WRN-16-2 training step.
 
 Usage:
     python scripts/bitwise_modes.py <src>
@@ -11,8 +12,11 @@ epoch plain), under an injected clock and inside a temporary directory. The
 first digest covers the final state dict, the bytes of ``metrics.csv`` and
 the per-epoch history. The second covers the trained model's eval-mode
 logits on a fixed probe batch of 32 held-out images, so an inference-only
-change shows even where it leaves the rounded error rates alone. Two
-checkouts that print the same lines trained and evaluate bitwise
+change shows even where it leaves the rounded error rates alone. The last
+line, ``wrn16x2``, digests the state dict of a WRN-16-2 (folded3x3) after
+one seeded, augmented training step at batch 64 on 32x32 images: its convs
+run their weight gradients in several blocks, where the WRN-10-1's run
+one. Two checkouts that print the same lines trained and evaluate bitwise
 identically:
 
     diff <(python scripts/bitwise_modes.py ../parent/src) \\
@@ -25,6 +29,29 @@ import sys
 import tempfile
 
 import numpy as np
+
+
+def state_hash(model):
+    """sha256 over the model's state dict, names and bytes in name order."""
+    h = hashlib.sha256()
+    for name, arr in sorted(model.state_dict().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h
+
+
+def wrn16x2_digest():
+    from cmpese.attention import AttentionConfig
+    from cmpese.data import synth_dataset
+    from cmpese.network import NetworkSpec, build
+    from cmpese.train import TrainConfig, train
+
+    data = synth_dataset(class_count=4, n_per_class=16, image_size=32, seed=7)
+    spec = NetworkSpec(family="wrn", depth=16, widen_factor=2, num_classes=4,
+                       attention=AttentionConfig(mode="folded3x3"))
+    model = build(spec, rng=np.random.default_rng(11))
+    train(model, data, TrainConfig(epochs=1, batch_size=64, augment=True, seed=13))
+    return state_hash(model).hexdigest()
 
 
 def digest(mode, out_dir):
@@ -47,10 +74,7 @@ def digest(mode, out_dir):
         return clock_state[0]
 
     history = train(model, data, cfg, out_dir=out_dir, clock=clock)
-    h = hashlib.sha256()
-    for name, arr in sorted(model.state_dict().items()):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+    h = state_hash(model)
     with open(os.path.join(out_dir, "metrics.csv"), "rb") as f:
         h.update(f.read())
     h.update(repr(history).encode())
@@ -70,6 +94,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for mode in MODE_NAMES:
             print(mode, *digest(mode, os.path.join(tmp, mode)), flush=True)
+    print("wrn16x2", wrn16x2_digest(), flush=True)
 
 
 if __name__ == "__main__":

@@ -138,6 +138,14 @@ def cmd_synth_data(args):
     return 0
 
 
+def positive_int(text):
+    """argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cmpese",
@@ -152,8 +160,8 @@ def build_parser():
     q = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     q.add_argument("checkpoint")
     q.add_argument("data")
-    q.add_argument("--batch-size", type=int, default=256)
-    q.add_argument("--top-k", type=int, default=1)
+    q.add_argument("--batch-size", type=positive_int, default=256)
+    q.add_argument("--top-k", type=positive_int, default=1)
     q.set_defaults(fn=cmd_eval)
 
     q = sub.add_parser("param-count", help="parameter count for a network spec")
@@ -170,7 +178,7 @@ def build_parser():
     q.add_argument("checkpoint")
     q.add_argument("data")
     q.add_argument("out_dir")
-    q.add_argument("--samples", type=int, default=4)
+    q.add_argument("--samples", type=positive_int, default=4)
     q.add_argument("--heatmap", action="store_true")
     q.set_defaults(fn=cmd_export_attention)
 

@@ -159,11 +159,13 @@ class Tensor:
     them for good.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "padded",
-                 "_rebuild", "_husk")
+    __slots__ = ("data", "shape", "dtype", "grad", "requires_grad", "name", "_parents",
+                 "_backward", "padded", "_rebuild")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
+        # data is rebound only by padded_by's rebuild, with the same shape and dtype
+        self.shape, self.dtype = self.data.shape, self.data.dtype
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
@@ -171,7 +173,6 @@ class Tensor:
         self._backward = None
         self.padded = None
         self._rebuild = None
-        self._husk = None
 
     def __getattr__(self, name):
         # reached only for an unset slot: data and padded after drop()
@@ -202,13 +203,7 @@ class Tensor:
         ``network.ResidualBlock.forward``), or for one outside any graph
         that no op will read again, such as a projection block's input once
         its bn1 has run without a graph (``branch_and_shortcut``)."""
-        # a stride-0 view of one value: the shape and dtype without the bytes
-        self._husk = np.broadcast_to(np.zeros((), self.dtype), self.shape)
         del self.data, self.padded
-
-    def _array_or_husk(self):
-        # data, or after drop() its stand-in of the same shape and dtype
-        return self.data if self._husk is None else self._husk
 
     def padded_by(self, pad):
         """``data`` zero-padded by ``pad`` on both sides of its two spatial
@@ -225,20 +220,12 @@ class Tensor:
         return None
 
     @property
-    def shape(self):
-        return self._array_or_husk().shape
-
-    @property
     def ndim(self):
-        return self._array_or_husk().ndim
-
-    @property
-    def dtype(self):
-        return self._array_or_husk().dtype
+        return len(self.shape)
 
     @property
     def size(self):
-        return self._array_or_husk().size
+        return math.prod(self.shape)
 
     def zero_grad(self):
         self.grad = None
@@ -568,22 +555,19 @@ def dual_linear(h_a, h_b, w):
                    (h_a, lambda g: g @ w_a), (h_b, lambda g: g @ w_b), (w, grad_w))
 
 
-# Outputs per block. Every forward and input-gradient pass cuts the batch
-# into equal runs of whole images of at most this many outputs, or single
-# images where one has more. An output is one GEMM row there, so where a
-# block ends moves no bit, as long as no block is so small that BLAS takes its
-# small-matrix kernel, which sums in another order: equal blocks keep each at
-# least half as large as the bound allows. The weight gradient takes runs of
-# as many images with a ragged last one: each block's GEMM sums over its rows
-# (K = its rows, a kh*kw*Cin x Cout output) and the blocks are added in
-# order, so these boundaries fix dW's bits. Per-tap weight-gradient GEMMs (a
-# Cin x Cout output) measured slower.
+# Outputs per block. Every conv pass cuts the batch into equal runs of whole
+# images of at most this many outputs, or single images where one has more.
+# An output is one GEMM row of the forward and input-gradient passes, so
+# where their blocks end moves no bit, as long as no block is so small that
+# BLAS takes its small-matrix kernel, which sums in another order: equal
+# blocks keep each at least half as large as the bound allows. The weight
+# gradient's GEMMs sum over a block's rows (a kh*kw*Cin x Cout output) and
+# the blocks' products add in order, so its block ends fix its bits. Per-tap
+# weight-gradient GEMMs (a Cin x Cout output) measured slower.
 _SLICE_ROWS = 8192
-# Bytes of an im2col copy: one workspace per forward or weight-gradient call,
-# overwritten block after block. A forward block takes fewer images to fit
-# it. A weight-gradient block that does not fit is copied one kernel row at a
-# time, as (rows, kw*Cin) slabs of contiguous runs, into a workspace of one
-# slab (6 MiB for WRN-16-2's 16x16x64 convs).
+# Bytes of an im2col copy: one workspace per im2col forward or
+# weight-gradient call, overwritten block after block. Both passes take
+# fewer images per block to fit it, and walk the same blocks.
 _WORKSPACE_BYTES = 9 << 19   # 4.5 MiB
 # Smallest output height and width that run on the flat padded grid. Each
 # image has (H+2)(W+2) grid rows for H*W outputs (56% more at 8x8); below
@@ -605,16 +589,6 @@ def _image_blocks(n, images):
     return list(zip(ends, ends[1:]))
 
 
-def _im2col(ws, windows, start, stop):
-    """Images ``start`` to ``stop`` of ``windows``, an (N, Ho, Wo, ...)
-    view, copied into the front of the workspace ``ws``: the (rows, K)
-    im2col block, one row per output position."""
-    part = windows[start:stop]
-    block = ws[:part.size].reshape(part.shape)
-    block[...] = part
-    return block.reshape(math.prod(part.shape[:3]), -1)
-
-
 def conv2d(x, w, stride=1, padding=0):
     """2-D convolution, channels-last.
 
@@ -629,9 +603,8 @@ def conv2d(x, w, stride=1, padding=0):
                         and _WORKSPACE_BYTES
     dX   flat grid      equal, <= _SLICE_ROWS outputs  no per-tap temporary or strided add
     dX   shift-and-GEMM equal, <= _SLICE_ROWS outputs  any stride, kernel and Cin
-    dW   im2col         _SLICE_ROWS outputs, ragged    the block ends fix dW's bits;
-                        last; kernel-row slabs above   the slabs bound the copy
-                        _WORKSPACE_BYTES
+    dW   im2col         equal, <= _SLICE_ROWS outputs  the forward's blocks: one workspace
+                        and _WORKSPACE_BYTES           and one block setup for both
     ==== ============== ============================== ================================
 
     The flat grid (stride 1, a kernel above 1x1, Cin > 1 and ``_BLAS_GEMM``
@@ -680,16 +653,26 @@ def conv2d(x, w, stride=1, padding=0):
     kernel = w_flat.reshape(w.shape)
     taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
     outs = ho * wo                        # outputs per image
-    step = max(1, _SLICE_ROWS // outs)    # images per block
-    blocks = _image_blocks(n, step)
+    blocks = _image_blocks(n, max(1, _SLICE_ROWS // outs))
     most = blocks[-1][1] - blocks[-1][0]
+    # the im2col passes take fewer images where a block's rows overfill the workspace
+    fits = _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)
+    cut = _image_blocks(n, max(1, min(_SLICE_ROWS, fits) // outs))
 
-    def windows(xp):
-        """The im2col matrix as a (N, Ho, Wo, kh, kw, Cin) view of ``xp``."""
+    def im2col(xp):
+        """``(rows, cols)`` per run of ``cut``: its output rows, and its
+        images' (rows, kh*kw*Cin) im2col block, copied from a window view of
+        ``xp`` into the front of one workspace that each block overwrites."""
         sn, sh, sw, sc = xp.strides
-        return np.lib.stride_tricks.as_strided(
+        windows = np.lib.stride_tricks.as_strided(
             xp, shape=(n, ho, wo, kh, kw, cin),
             strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+        ws = np.empty((cut[-1][1] - cut[-1][0]) * outs * kh * kw * cin, dtype=xp.dtype)
+        for b, e in cut:
+            part = windows[b:e]
+            block = ws[:part.size].reshape(part.shape)
+            block[...] = part
+            yield slice(b * outs, e * outs), block.reshape(-1, kh * kw * cin)
 
     data = np.empty((n, ho, wo, cout), dtype=dtype)
     if flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN:
@@ -706,35 +689,17 @@ def conv2d(x, w, stride=1, padding=0):
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
     else:
         out = data.reshape(n * outs, cout)
-        fits = _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)
-        cut = _image_blocks(n, max(1, min(_SLICE_ROWS, fits) // outs))
-        ws = np.empty((cut[-1][1] - cut[-1][0]) * outs * kh * kw * cin, dtype=xp.dtype)
-        win = windows(xp)
-        for b, e in cut:
-            np.matmul(_im2col(ws, win, b, e), w_flat, out=out[b * outs:e * outs])
+        for rows, cols in im2col(xp):
+            np.matmul(cols, w_flat, out=out[rows])
 
     def grad_w(g):
-        # x's own array, rebuilt if x was released, or the copy
-        win = windows(x.padded_by(padding) if copy is None else copy)
         g_flat = g.reshape(n * outs, cout)
-        block_bytes = min(step, n) * outs * kh * kw * cin * win.itemsize
-        # kernel-row slabs, unless the block fits or they are one value wide:
-        # numpy runs a one-column GEMM as a vector product, adding in another
-        # order. A slab is a third or more of a block above the bound, so its
-        # GEMM is never small enough for BLAS's small-matrix kernel
-        parts = ([win[:, :, :, i] for i in range(kh)]
-                 if block_bytes > _WORKSPACE_BYTES and kw * cin > 1 else [win])
-        ws = np.empty(block_bytes // (win.itemsize * len(parts)), dtype=win.dtype)
-        # each block's dW, its parts' GEMMs writing their rows; blocks add in order
-        gw = prod = np.empty((len(parts), kh * kw * cin // len(parts), cout), dtype=dtype)
-        for b in range(0, n, step):
-            e = min(b + step, n)
-            for part, rows in zip(parts, prod):
-                np.matmul(_im2col(ws, part, b, e).T, g_flat[b * outs:e * outs], out=rows)
-            if prod is not gw:
-                gw += prod
-            elif e < n:
-                prod = np.empty_like(gw)
+        gw = np.zeros(w_flat.shape, dtype=dtype)
+        prod = np.empty_like(gw)
+        # x's own array, rebuilt if x was released, or the copy; the blocks'
+        # products add in order
+        for rows, cols in im2col(x.padded_by(padding) if copy is None else copy):
+            gw += np.matmul(cols.T, g_flat[rows], out=prod)
         return gw.reshape(w.shape)
 
     def grad_x(g):

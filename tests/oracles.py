@@ -50,42 +50,46 @@ def conv2d_dx_shift_gemm(g, w, x_shape, stride=1, padding=0):
     return gxp[:, padding:padding + h, padding:padding + wd, :]
 
 
-def _im2col_blocks(xp, kh, kw, ho, wo, stride, slice_rows):
-    """(output rows, im2col block) pairs over the padded input ``xp``: each
-    block a fresh copy of the windows of as many whole images as fill
-    ``slice_rows`` output rows (at least one)."""
-    n, cin = xp.shape[0], xp.shape[3]
-    sn, sh, sw, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, ho, wo, kh, kw, cin),
-        strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-    step = max(1, slice_rows // (ho * wo))
-    for b in range(0, n, step):
-        e = min(b + step, n)
-        cols = np.ascontiguousarray(windows[b:e]).reshape(-1, kh * kw * cin)
-        yield slice(b * ho * wo, e * ho * wo), cols
+def equal_image_runs(n, outs, rows):
+    """Image counts of the fewest runs of whole images, of ``outs`` output
+    rows each, that cover a batch of ``n`` with at most ``rows`` rows per
+    run (or one image where one has more); run i ends at image
+    n*(i+1)//count."""
+    count = -(-n // max(1, rows // outs))
+    return [n * (i + 1) // count - n * i // count for i in range(count)]
 
 
-def conv2d_im2col_blocks(x, w, g, stride=1, padding=0, slice_rows=8192):
-    """A conv's output and weight gradient by whole-image im2col blocks of
-    ``slice_rows`` output rows: per block, ``cols @ w`` into its output rows
-    and ``cols.T @ g`` for its dW, the blocks' dW summed in order. x
-    (N,H,W,Cin), w (kh,kw,Cin,Cout), g the output's gradient; returns
-    (output, dW)."""
+def conv2d_im2col_blocks(x, w, g, stride=1, padding=0, slice_rows=8192, images=None):
+    """A conv's output and weight gradient by whole-image im2col blocks:
+    per block, a fresh copy of its images' windows ``cols``, ``cols @ w``
+    into its output rows and ``cols.T @ g`` for its dW, the blocks' dW
+    summed in order. The blocks hold ``images`` images each, by default the
+    equal runs of at most ``slice_rows`` output rows. x (N,H,W,Cin), w
+    (kh,kw,Cin,Cout), g the output's gradient; returns (output, dW)."""
     n, h, wd, cin = x.shape
     kh, kw, _, cout = w.shape
     xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
     xp[:, padding:padding + h, padding:padding + wd, :] = x
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, ho, wo, kh, kw, cin),
+        strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
     w_flat = w.reshape(kh * kw * cin, cout)
     out = np.empty((n * ho * wo, cout), dtype=x.dtype)
     g_flat = g.reshape(n * ho * wo, cout)
     dw = None
-    for rows, cols in _im2col_blocks(xp, kh, kw, ho, wo, stride, slice_rows):
+    b = 0
+    for count in images or equal_image_runs(n, ho * wo, slice_rows):
+        e = b + count
+        rows = slice(b * ho * wo, e * ho * wo)
+        cols = np.ascontiguousarray(windows[b:e]).reshape(-1, kh * kw * cin)
         np.matmul(cols, w_flat, out=out[rows])
         part = cols.T @ g_flat[rows]
         dw = part if dw is None else dw + part
+        b = e
+    assert b == n
     return out.reshape(n, ho, wo, cout), dw.reshape(w.shape)
 
 

@@ -59,6 +59,19 @@ def test_bad_mode_choice_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["eval", "m.ckpt", "d.npz", "--batch-size"],
+                                  ["eval", "m.ckpt", "d.npz", "--top-k"],
+                                  ["export-attention", "m.ckpt", "d.npz", "out", "--samples"]],
+                         ids=["batch-size", "top-k", "samples"])
+def test_a_count_below_one_is_a_usage_error(argv, value, capsys):
+    # refused by the parser, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [value])
+    assert exc.value.code == 2
+    assert f"must be a positive integer, got {value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # param-count
 # ---------------------------------------------------------------------------

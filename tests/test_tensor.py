@@ -18,7 +18,7 @@ from cmpese.tensor import Tensor, finite_checks, no_grad
 
 from oracles import (batch_norm_saving_xn, channel_scale_add_composite, conv2d_dx_shift_gemm,
                      conv2d_flat_dx_whole_grid, conv2d_flat_forward_slices, conv2d_im2col_blocks,
-                     conv2d_loops, sigmoid_by_sign)
+                     conv2d_loops, equal_image_runs, sigmoid_by_sign)
 
 RNG = np.random.default_rng(20240811)
 
@@ -141,9 +141,9 @@ def test_conv2d_graph_keeps_no_im2col_matrix():
 
 
 # (input, kernel, stride): WRN-16-2's 3x3 convs at batch 64 (stages 1-3 and
-# both stride-2 convs), the desk WRN-10-1's at batch 32, a batch whose last
-# weight-gradient block is ragged (32 + 8 images), the stem, a 1x1 stride-2
-# projection and the stage-3 pairview2x1 scan over one channel (kw*Cin == 1)
+# both stride-2 convs), the desk WRN-10-1's at batch 32, a batch of 40
+# images, the stem, a 1x1 stride-2 projection and the stage-3 pairview2x1
+# scan over one channel (kw*Cin == 1)
 IM2COL_SHAPES = [
     ((64, 32, 32, 32), (3, 3, 32, 32), 1), ((64, 16, 16, 64), (3, 3, 64, 64), 1),
     ((64, 8, 8, 128), (3, 3, 128, 128), 1), ((64, 32, 32, 32), (3, 3, 32, 64), 2),
@@ -153,18 +153,25 @@ IM2COL_SHAPES = [
     ((64, 32, 32, 3), (3, 3, 3, 16), 1), ((64, 32, 32, 32), (1, 1, 32, 64), 2),
     ((64, 2, 128, 1), (2, 1, 1, 4), 1),
 ]
+# images per block of WRN-16-2's five 3x3 convs under the default 4.5 MiB
+# workspace: its rows (3x3xCin float32 values each) take fewer images than
+# the 8192-output bound
+WRN16X2_IMAGES = {
+    IM2COL_SHAPES[0]: [4] * 16, IM2COL_SHAPES[1]: [8] * 8, IM2COL_SHAPES[2]: [16] * 4,
+    IM2COL_SHAPES[3]: [16] * 4, IM2COL_SHAPES[4]: [32] * 2,
+}
 
 
-# a 1 MiB workspace cuts forward blocks of fewer images, or of one image
-# where one is larger, and copies each larger dW block in slabs; a 40 kB one would copy the scan's 64 kB dW block in
-# slabs one value wide, which it must not
+# a 1 MiB workspace cuts blocks of fewer images, or of one image where one is
+# larger; a 40 kB one cuts the scan's 64 images into two blocks
 @pytest.mark.parametrize("x_shape, w_shape, stride, workspace",
                          [(*shape, ws) for shape in IM2COL_SHAPES for ws in (None, 1 << 20)]
                          + [(*IM2COL_SHAPES[-1], 40_000)])
 def test_conv2d_workspace_is_bitwise_the_whole_image_blocks(x_shape, w_shape, stride, workspace,
                                                             monkeypatch):
     # the forward pass on the im2col path (no BLAS binding) and dW against
-    # fresh whole-image blocks of _SLICE_ROWS rows
+    # fresh copies of the same equal whole-image blocks, each at most
+    # _SLICE_ROWS outputs and the workspace's bytes of im2col rows
     monkeypatch.setattr(T, "_BLAS_GEMM", None)
     if workspace is not None:
         monkeypatch.setattr(T, "_WORKSPACE_BYTES", workspace)
@@ -174,7 +181,12 @@ def test_conv2d_workspace_is_bitwise_the_whole_image_blocks(x_shape, w_shape, st
     padding = (w_shape[0] - 1) // 2
     y = T.conv2d(Tensor(x), w, stride=stride, padding=padding)
     g = rng.standard_normal(y.shape, dtype=np.float32)
-    want_y, want_dw = conv2d_im2col_blocks(x, w.data, g, stride, padding, T._SLICE_ROWS)
+    row_bytes = w_shape[0] * w_shape[1] * w_shape[2] * 4
+    images = equal_image_runs(x_shape[0], y.shape[1] * y.shape[2],
+                              min(T._SLICE_ROWS, T._WORKSPACE_BYTES // row_bytes))
+    if workspace is None and (x_shape, w_shape, stride) in WRN16X2_IMAGES:
+        assert images == WRN16X2_IMAGES[x_shape, w_shape, stride]
+    want_y, want_dw = conv2d_im2col_blocks(x, w.data, g, stride, padding, images=images)
     assert np.array_equal(y.data, want_y)
     y.backward(g)
     assert np.array_equal(w.grad, want_dw)
@@ -196,15 +208,13 @@ def test_conv2d_forward_blocks_are_equal(monkeypatch):
 
 
 def test_conv2d_weight_gradient_holds_one_workspace():
-    # a stage-2 WRN-16-2 conv: its 8192-row dW blocks are 18 MiB, so each is
-    # copied one kernel row at a time into one 6 MiB workspace; beside it
-    # live the root gradient's copy, dW and one block's dW
+    # a stage-2 WRN-16-2 conv: its im2col blocks (8 images, 4.5 MiB) go
+    # through one workspace; beside it live the root gradient's copy, dW and
+    # one block's product
     x = Tensor(RNG.standard_normal((64, 16, 16, 64), dtype=np.float32))
     w = Tensor(RNG.standard_normal((3, 3, 64, 64), dtype=np.float32), requires_grad=True)
     y = T.conv2d(x, w, stride=1, padding=1)
     g = RNG.standard_normal(y.shape, dtype=np.float32)
-    slab = T._SLICE_ROWS * 3 * 64 * 4
-    assert slab > T._WORKSPACE_BYTES
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -212,7 +222,7 @@ def test_conv2d_weight_gradient_holds_one_workspace():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= g.nbytes + slab + 2 * w.data.nbytes + 4096
+    assert peak <= T._WORKSPACE_BYTES + g.nbytes + 2 * w.data.nbytes + 4096
 
 
 @pytest.mark.skipif(not T._KEEPS_FREED_MEMORY,
