@@ -65,6 +65,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, spec = _rebuild_model(args.checkpoint)
+    if args.top_k > spec.num_classes:
+        raise ConfigError(f"--top-k {args.top_k} is above the checkpoint's num_classes "
+                          f"{spec.num_classes}")
     data = _load_eval_data(args.data, spec.num_classes)
     if args.top_k > 1:
         errors = evaluate(model, data, batch_size=args.batch_size,

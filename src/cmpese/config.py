@@ -20,7 +20,7 @@ import os
 from dataclasses import replace
 
 from .data import load_cifar_binary, load_dataset_npz, synth_dataset
-from .errors import ConfigError, check_keys, read_json, require_choice, require_path
+from .errors import ConfigError, check_keys, read_json, require_choice, require_int, require_path
 from .network import spec_from_dict
 from .train import train_config_from_dict
 
@@ -36,12 +36,15 @@ _PATH_KEYS = {"path": False, "eval_path": False, "train": True, "test": True}
 
 
 def resolve_seed(seed):
+    """CMPESE_SEED when it is set, else ``seed``: a non-negative integer
+    either way, or ConfigError."""
     env = os.environ.get("CMPESE_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"CMPESE_SEED must be an integer, got {env!r}") from None
+    require_int("seed" if env is None else "seed (CMPESE_SEED)", seed, 0)
     return seed
 
 

@@ -30,8 +30,9 @@ class Dataset:
 
     def __post_init__(self):
         images, labels, classes = self.images, self.labels, self.class_count
-        if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
-            raise DataFormatError(f"images must be float32 of shape (N, H, W, 3), "
+        if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3 \
+                or len(images) == 0:
+            raise DataFormatError(f"images must be float32 of shape (N, H, W, 3) with N >= 1, "
                                   f"got {images.dtype} {images.shape}")
         if isinstance(classes, bool) or not isinstance(classes, numbers.Integral) \
                 or classes < 1:
@@ -39,7 +40,7 @@ class Dataset:
         if labels.dtype.kind not in "iu" or labels.shape != images.shape[:1]:
             raise DataFormatError(f"labels must be {len(images)} integers, one per image, "
                                   f"got {labels.dtype} {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        if labels.min() < 0 or labels.max() >= classes:
             raise DataFormatError(f"labels must lie in [0, {classes}), got "
                                   f"[{labels.min()}, {labels.max()}]")
 

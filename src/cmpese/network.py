@@ -222,11 +222,7 @@ class Network(Module):
         for blk in self.blocks:
             h = blk(h)
         h = self.bn_final(h, relu=True)
-        pooled = T.global_avg_pool(h)
-        # the pool reads only h's shape in backward, and bn_final's own mask
-        # rebuilds it (Tensor.release); without a graph nothing is released
-        h.release()
-        return self.fc(pooled)
+        return self.fc(T.global_avg_pool(h))
 
     def attention_units(self):
         return [blk.attn for blk in self.blocks]

@@ -44,25 +44,15 @@ def _keep_freed_memory():
 
 _KEEPS_FREED_MEMORY = _keep_freed_memory()
 
-_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_TRANS = 101, 111, 112
-
-
-def _blas_operand(a):
-    """CBLAS transpose flag and leading dimension of a 2-D array that is
-    unit-stride along one axis; ValueError for any other layout."""
-    step = a.itemsize
-    (rows, cols), (s0, s1) = a.shape, a.strides
-    if (s1 == step or cols == 1) and s0 % step == 0 and s0 // step >= max(1, cols):
-        return _CBLAS_NO_TRANS, s0 // step
-    if (s0 == step or rows == 1) and s1 % step == 0 and s1 // step >= max(1, rows):
-        return _CBLAS_TRANS, s1 // step
-    raise ValueError(f"no BLAS layout for shape {a.shape} with strides {a.strides}")
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS = 101, 111
 
 
 def _bind_blas_gemm():
-    """``gemm(c, a, b, beta)``: ``c[...] = a @ b + beta * c`` in place,
-    through the float32 and float64 GEMMs of the OpenBLAS that numpy's wheel
-    bundles, or None where they cannot be found or fail ``_gemm_is_exact``.
+    """``gemm(c, a, b, beta)``: ``c[...] = a @ b + beta * c`` in place for
+    C-contiguous ``a``, ``b`` and ``c`` (a row-offset slice of a contiguous
+    array is one), through the float32 and float64 GEMMs of the OpenBLAS
+    that numpy's wheel bundles, or None where they cannot be found or fail
+    ``_gemm_is_exact``. Any other layout raises ValueError.
 
     numpy's matmul has no beta, so it cannot add a product into an array
     without a temporary. The library is ILP64: sizes are int64, the
@@ -88,11 +78,11 @@ def _bind_blas_gemm():
             if a.dtype != c.dtype or b.dtype != c.dtype or a.shape[0] != m or b.shape != (k, n):
                 raise ValueError(f"gemm operands {a.shape} {a.dtype} @ {b.shape} {b.dtype} "
                                  f"-> {c.shape} {c.dtype}")
-            if _blas_operand(c) != (_CBLAS_NO_TRANS, c.strides[0] // c.itemsize):
-                raise ValueError(f"gemm output rows must be unit-stride, got {c.strides}")
-            (ta, lda), (tb, ldb) = _blas_operand(a), _blas_operand(b)
-            fn(_CBLAS_ROW_MAJOR, ta, tb, m, n, k, real(1), a.ctypes.data, lda,
-               b.ctypes.data, ldb, real(beta), c.ctypes.data, c.strides[0] // c.itemsize)
+            if not (a.flags.c_contiguous and b.flags.c_contiguous and c.flags.c_contiguous):
+                raise ValueError(f"gemm operands must be C-contiguous, got strides "
+                                 f"{a.strides} @ {b.strides} -> {c.strides}")
+            fn(_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_NO_TRANS, m, n, k, real(1),
+               a.ctypes.data, k, b.ctypes.data, n, real(beta), c.ctypes.data, n)
 
         if _gemm_is_exact(gemm):
             return gemm
@@ -100,14 +90,13 @@ def _bind_blas_gemm():
 
 
 def _gemm_is_exact(gemm):
-    """Whether ``gemm`` adds a product into a row-offset view of its output,
-    reading ``a`` with a leading dimension larger than its width and ``b``
-    transposed, exactly as numpy computes it. Small integers keep every sum
-    exact in both dtypes."""
+    """Whether ``gemm`` adds a product into a row-offset view of its output
+    exactly as numpy computes it. Small integers keep every sum exact in
+    both dtypes."""
     rng = np.random.default_rng(0)
     for dt in (np.float32, np.float64):
-        a = rng.integers(-4, 5, (7, 9)).astype(dt)[:, 2:7]        # lda 9 > k 5
-        b = rng.integers(-4, 5, (6, 5)).astype(dt).T              # (5, 6), transposed
+        a = rng.integers(-4, 5, (7, 5)).astype(dt)
+        b = rng.integers(-4, 5, (5, 6)).astype(dt)
         c = rng.integers(-4, 5, (9, 6)).astype(dt)
         want = c.copy()
         want[2:] += a @ b
@@ -650,8 +639,8 @@ def conv2d(x, w, stride=1, padding=0):
     hp, wp = xp_shape[1:3]
     flat = (_BLAS_GEMM is not None and stride == 1 and kh * kw > 1 and cin > 1
             and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
-    kernel = w_flat.reshape(w.shape)
-    taps = [(i * wp + j, kernel[i, j]) for i in range(kh) for j in range(kw)]
+    # tap (i, j)'s row offset on the flat grid
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     outs = ho * wo                        # outputs per image
     blocks = _image_blocks(n, max(1, _SLICE_ROWS // outs))
     most = blocks[-1][1] - blocks[-1][0]
@@ -681,9 +670,9 @@ def conv2d(x, w, stride=1, padding=0):
         grid = xp.reshape(n * hp * wp, cin)
         buf = np.empty((most * hp * wp, cout), dtype=dtype)
         for b, e in blocks:
-            base, rows = b * hp * wp, (e - b) * hp * wp - taps[-1][0]
+            base, rows = b * hp * wp, (e - b) * hp * wp - offsets[-1]
             beta = 0   # the first tap overwrites what the last block left
-            for off, w_tap in taps:
+            for off, w_tap in zip(offsets, w_flat.reshape(kh * kw, cin, cout)):
                 _BLAS_GEMM(buf[:rows], grid[base + off:base + off + rows], w_tap, beta)
                 beta = 1
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
@@ -703,6 +692,8 @@ def conv2d(x, w, stride=1, padding=0):
         return gw.reshape(w.shape)
 
     def grad_x(g):
+        # each tap's (Cout, Cin) weight, contiguous for the binding
+        kernel_t = np.ascontiguousarray(w_flat.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
         gxp = np.zeros(xp_shape, dtype=xp_dtype)
         if flat and min(ho, wo) >= _FLAT_DX_MIN:
             # a block of g sits in the top-left corners of a zero grid, so
@@ -714,17 +705,17 @@ def conv2d(x, w, stride=1, padding=0):
                 g_grid[:e - b, :ho, :wo] = g[b:e]
                 g_rows = g_grid[:e - b].reshape(-1, cout)
                 gx_rows = gxp[b:e].reshape(-1, cin)
-                for off, w_tap in taps:
-                    _BLAS_GEMM(gx_rows[off:], g_rows[:len(g_rows) - off], w_tap.T, 1)
+                for off, w_tap in zip(offsets, kernel_t):
+                    _BLAS_GEMM(gx_rows[off:], g_rows[:len(g_rows) - off], w_tap, 1)
         else:
             for b, e in blocks:
                 g_rows = g[b:e].reshape(-1, cout)
-                for i in range(kh):
-                    for j in range(kw):
-                        # the padded-input positions that tap (i, j) reads
-                        view = gxp[b:e, i : i + stride * ho : stride,
-                                   j : j + stride * wo : stride, :]
-                        view += (g_rows @ kernel[i, j].T).reshape(e - b, ho, wo, cin)
+                for tap, w_tap in enumerate(kernel_t):
+                    # the padded-input positions that tap (i, j) reads
+                    i, j = divmod(tap, kw)
+                    view = gxp[b:e, i : i + stride * ho : stride,
+                               j : j + stride * wo : stride, :]
+                    view += (g_rows @ w_tap).reshape(e - b, ho, wo, cin)
         return gxp[:, padding : padding + h, padding : padding + wd, :]
 
     return _result(data, "conv2d", (x, grad_x), (w, grad_w))

@@ -140,7 +140,7 @@ def conv2d_flat_dx_whole_grid(gemm, g, w, x_shape, padding=1):
     g_grid[:, :g.shape[1], :g.shape[2]] = g
     g_rows = g_grid.reshape(-1, cout)
     for off, w_tap in taps:
-        gemm(gx_rows[off:], g_rows[:len(g_rows) - off], w_tap.T, 1)
+        gemm(gx_rows[off:], g_rows[:len(g_rows) - off], np.ascontiguousarray(w_tap.T), 1)
     return gxp[:, padding:padding + h, padding:padding + wd, :]
 
 

@@ -158,6 +158,18 @@ def test_garbage_env_seed_fails_cleanly(tmp_path, capsys, monkeypatch):
     assert "CMPESE_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-2")])
+def test_negative_seed_fails_cleanly(capsys, monkeypatch, flag, env):
+    if env is None:
+        monkeypatch.delenv("CMPESE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CMPESE_SEED", env)
+    assert cli.main(["gradcheck", "--mode", "se"] + flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and "Traceback" not in err
+    assert ("CMPESE_SEED" in err) == (env is not None)
+
+
 def test_unknown_manifest_key_fails_cleanly(tmp_path, capsys):
     manifest = write_json(tmp_path / "toy.json",
                           {"class_count": 2, "n_per_class": 8, "seed": 4, "hue": 1})
@@ -275,6 +287,32 @@ def test_eval_top_k_flag(trained_run, capsys):
     assert "top1_error_pct=" in out and "top2_error_pct=" in out
     # on a 2-class problem the top-2 prediction always contains the label
     assert float(out.splitlines()[1].split("=")[1]) == 0.0
+
+
+def test_eval_top_k_above_the_class_count_fails_cleanly(trained_run, capsys):
+    _, out_dir, eval_npz = trained_run
+    assert cli.main(["eval", str(out_dir / "last.ckpt"), str(eval_npz),
+                     "--top-k", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "--top-k 3" in err and "num_classes 2" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-attention", "train"])
+def test_a_dataset_without_images_fails_cleanly(trained_run, tmp_path, capsys, command):
+    _, out_dir, _ = trained_run
+    empty = str(tmp_path / "empty.npz")
+    np.savez(empty, images=np.zeros((0, 16, 16, 3), np.float32),
+             labels=np.zeros(0, np.int64), class_count=np.int64(2), split=np.str_("test"))
+    if command == "train":
+        cfg = json.loads(open(experiment_config(tmp_path)).read())
+        cfg["data"] = {"kind": "npz", "path": empty}
+        argv = ["train", write_json(tmp_path / "exp.json", cfg)]
+    else:
+        argv = [command, str(out_dir / "last.ckpt"), empty]
+        argv += [str(tmp_path / "out")] if command == "export-attention" else []
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {empty}: images must") and "Traceback" not in err
 
 
 def test_eval_missing_checkpoint_fails_cleanly(tmp_path, capsys):

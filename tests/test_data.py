@@ -458,6 +458,7 @@ def _fields(**edit):
     np.zeros((4, 2, 2, 3), np.float64),
     np.zeros((4, 2, 2, 1), np.float32),
     np.zeros((4, 12), np.float32),
+    np.zeros((0, 2, 2, 3), np.float32),
 ])
 def test_dataset_refuses_bad_images(images):
     with pytest.raises(DataFormatError, match="images must be float32"):

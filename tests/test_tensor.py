@@ -279,7 +279,9 @@ def test_blas_gemm_rejects_operands_it_cannot_pass():
     b = np.ones((3, 5), np.float32)
     c = np.zeros((4, 5), np.float32)
     for args in [(c, a, b.astype(np.float64)), (c[:, ::2], a, b[:, ::2]),
-                 (c, a[:, ::2], b[:2]), (c[:3], a, b)]:
+                 (c, a[:, ::2], b[:2]), (c[:3], a, b),
+                 (c, np.ones((3, 4), np.float32).T, b), (c, a, np.ones((5, 3), np.float32).T),
+                 (c, np.ones((4, 6), np.float32)[:, :3], b)]:
         with pytest.raises(ValueError):
             T._BLAS_GEMM(*args, 1)
     with pytest.raises(KeyError):
