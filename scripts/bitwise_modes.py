@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print two sha256 digests per attention mode of a short seeded training
-run, and one of a WRN-16-2 training step.
+run, and two of a WRN-16-2 training step.
 
 Usage:
     python scripts/bitwise_modes.py <src>
@@ -14,10 +14,11 @@ the per-epoch history. The second covers the trained model's eval-mode
 logits on a fixed probe batch of 32 held-out images, so an inference-only
 change shows even where it leaves the rounded error rates alone. The last
 line, ``wrn16x2``, digests the state dict of a WRN-16-2 (folded3x3) after
-one seeded, augmented training step at batch 64 on 32x32 images: its convs
-run their weight gradients in several blocks, where the WRN-10-1's run
-one. Two checkouts that print the same lines trained and evaluate bitwise
-identically:
+one seeded, augmented training step at batch 64 on 32x32 images, and then
+that model's eval-mode logits on a fixed batch of 256 held-out 32x32
+images. Its convs run their passes in several image blocks, where the
+WRN-10-1's run one. Two checkouts that print the same lines trained and
+evaluate bitwise identically:
 
     diff <(python scripts/bitwise_modes.py ../parent/src) \\
          <(python scripts/bitwise_modes.py src)
@@ -40,7 +41,17 @@ def state_hash(model):
     return h
 
 
-def wrn16x2_digest():
+def logits_hash(model, images):
+    """sha256 of the model's eval-mode logits on ``images``, without a graph."""
+    from cmpese.tensor import Tensor, no_grad
+
+    model.eval()
+    with no_grad():
+        logits = model.forward(Tensor(images)).data
+    return hashlib.sha256(logits.tobytes()).hexdigest()
+
+
+def wrn16x2_digests():
     from cmpese.attention import AttentionConfig
     from cmpese.data import synth_dataset
     from cmpese.network import NetworkSpec, build
@@ -51,14 +62,15 @@ def wrn16x2_digest():
                        attention=AttentionConfig(mode="folded3x3"))
     model = build(spec, rng=np.random.default_rng(11))
     train(model, data, TrainConfig(epochs=1, batch_size=64, augment=True, seed=13))
-    return state_hash(model).hexdigest()
+    probe = synth_dataset(class_count=4, n_per_class=64, image_size=32, seed=29,
+                          split="test").images
+    return state_hash(model).hexdigest(), logits_hash(model, probe)
 
 
 def digest(mode, out_dir):
     from cmpese.attention import AttentionConfig
     from cmpese.data import MixupConfig, synth_dataset
     from cmpese.network import NetworkSpec, build
-    from cmpese.tensor import Tensor, no_grad
     from cmpese.train import TrainConfig, train
 
     data = synth_dataset(class_count=4, n_per_class=24, seed=7)
@@ -79,10 +91,7 @@ def digest(mode, out_dir):
         h.update(f.read())
     h.update(repr(history).encode())
     probe = synth_dataset(class_count=4, n_per_class=8, seed=29, split="test").images
-    model.eval()
-    with no_grad():
-        logits = model.forward(Tensor(probe)).data
-    return h.hexdigest(), hashlib.sha256(logits.tobytes()).hexdigest()
+    return h.hexdigest(), logits_hash(model, probe)
 
 
 def main():
@@ -94,7 +103,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for mode in MODE_NAMES:
             print(mode, *digest(mode, os.path.join(tmp, mode)), flush=True)
-    print("wrn16x2", wrn16x2_digest(), flush=True)
+    print("wrn16x2", *wrn16x2_digests(), flush=True)
 
 
 if __name__ == "__main__":

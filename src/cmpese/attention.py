@@ -317,18 +317,20 @@ def attention_param_count(channels, cfg):
     return count
 
 
-def recalibrate_and_add(u_r, x_id, unit):
+def recalibrate_and_add(u_r, x_id, unit, out=None):
     """Block output: scale the residual map channel-wise by the excitation
     of (u_r, x_id) and add the shortcut. Mode 'none' is a plain addition.
-    The shortcut is squeezed only for a unit that reads its squeeze."""
+    The shortcut is squeezed only for a unit that reads its squeeze.
+    Outside a graph, ``out`` receives the output; it may be ``u_r.data``,
+    since the squeezes have read it by then."""
     if u_r.shape != x_id.shape:
         raise ShapeError(
             "recalibrate_and_add",
             f"residual {u_r.shape} and shortcut {x_id.shape} must match",
         )
     if unit is None:
-        return T.add(u_r, x_id)
+        return T.add(u_r, x_id, out=out)
     u_hat = T.global_avg_pool(u_r)
     x_hat = T.global_avg_pool(x_id) if unit.spec.reads_shortcut else None
     s = unit.excite(u_hat, x_hat)
-    return T.channel_scale_add(s, u_r, x_id)
+    return T.channel_scale_add(s, u_r, x_id, out=out)

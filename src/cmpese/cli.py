@@ -20,7 +20,7 @@ from .data import load_cifar_binary, load_dataset_npz, load_synth_manifest, \
     save_dataset_npz, synth_dataset
 from .diagnostics import ascii_heatmap, attention_stats, capture_trace, \
     export_inner_images, stats_to_csv
-from .errors import CmpeSeError, ConfigError, DataFormatError, read_json
+from .errors import CmpeSeError, ConfigError, DataFormatError, output_dir, read_json
 from .gradcheck import block_gradient_check
 from .network import build, param_count, reference_mparams, spec_from_dict
 from .train import evaluate, train
@@ -58,7 +58,7 @@ def cmd_train(args):
     history = train(model, train_ds, cfg, eval_data=eval_ds, out_dir=exp["out_dir"])
     last = history[-1]
     print(f"done: train_acc={last['train_acc']:.2f}% eval_err={last['eval_err']:.2f}%")
-    if exp["out_dir"]:
+    if exp["out_dir"] is not None:
         print(f"metrics and checkpoint in {exp['out_dir']}")
     return 0
 
@@ -116,9 +116,8 @@ def cmd_export_attention(args):
     data = _load_eval_data(args.data, spec.num_classes)
     probe = data.images[: args.samples]
     trace = capture_trace(model, probe)
-    os.makedirs(args.out_dir, exist_ok=True)
-    stats_path = stats_to_csv(attention_stats(trace),
-                              os.path.join(args.out_dir, "attention_stats.csv"))
+    stats_path = stats_to_csv(attention_stats(trace), os.path.join(
+        output_dir(args.out_dir, ConfigError), "attention_stats.csv"))
     print(f"wrote {stats_path} ({len(trace.blocks)} blocks, "
           f"{trace.sample_count} samples)")
     if any(b.before is not None for b in trace.blocks):
@@ -133,10 +132,12 @@ def cmd_export_attention(args):
 
 def cmd_synth_data(args):
     manifest = load_synth_manifest(args.manifest)
-    out = manifest.pop("out", None) or os.path.splitext(args.manifest)[0] + ".npz"
+    out = manifest.pop("out", None)
+    if out is None:
+        out = os.path.splitext(args.manifest)[0] + ".npz"
     manifest["seed"] = resolve_seed(manifest["seed"])
     ds = synth_dataset(**manifest)
-    save_dataset_npz(ds, out)
+    out = save_dataset_npz(ds, out)
     print(f"wrote {out}: {len(ds)} samples, {ds.class_count} classes, seed {manifest['seed']}")
     return 0
 

@@ -249,9 +249,15 @@ def load_synth_manifest(path):
 
 
 def save_dataset_npz(dataset, path):
+    """Write ``dataset`` to ``path``, with ".npz" appended unless it ends so,
+    as np.savez appends it; returns the path written."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     np.savez(path, images=dataset.images, labels=dataset.labels,
              class_count=np.int64(dataset.class_count),
              split=np.str_(dataset.split))
+    return path
 
 
 def load_dataset_npz(path):

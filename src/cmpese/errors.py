@@ -1,9 +1,11 @@
 """Exception types shared across the package, the config-value checks that
-raise them, and the readers of input files."""
+raise them, the readers of input files and the maker of output
+directories."""
 
 import json
 import math
 import numbers
+import os
 from dataclasses import MISSING, fields, is_dataclass
 
 
@@ -59,13 +61,14 @@ def require_choice(key, value, choices):
 
 
 def require_path(key, value, many=False, null=False):
-    """Refuse a setting that is not a path string. ``many`` also accepts a
-    non-empty list of path strings, and ``null`` accepts None."""
+    """Refuse a setting that is not a non-empty path string. ``many`` also
+    accepts a non-empty list of them, and ``null`` accepts None."""
     paths = value if many and isinstance(value, list) and value else [value]
-    if not (null and value is None or all(isinstance(v, str) for v in paths)):
+    if not (null and value is None or all(isinstance(v, str) and v for v in paths)):
         alternatives = ((" or a non-empty list of them" if many else "")
                         + (" or null" if null else ""))
-        raise ConfigError(f"{key} must be a path string{alternatives}, got {value!r}")
+        raise ConfigError(f"{key} must be a non-empty path string{alternatives}, "
+                          f"got {value!r}")
 
 
 def check_keys(obj, section, required=(), optional=(), error=ConfigError):
@@ -167,6 +170,19 @@ def read_file(path, error):
         raise
     except OSError as e:
         raise error(f"{path}: cannot be read ({e.strerror or e})") from None
+
+
+def output_dir(path, error):
+    """Make the output directory ``path``, and its parents, unless it
+    exists; returns ``path``. A path that names a file, or that cannot be
+    made, raises ``error`` naming the path. The counterpart of
+    ``read_file``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise error(f"{path}: cannot be made an output directory "
+                    f"({e.strerror or e})") from None
+    return path
 
 
 def read_json(path, error):

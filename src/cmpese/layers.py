@@ -129,8 +129,12 @@ class Conv2d(Module):
         self.weight = self.param(
             "weight", he_normal(rng, (kh, kw, cin, cout), kh * kw * cout, dtype), decay=True)
 
-    def forward(self, x):
-        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
+    def forward(self, x, **outside_graph):
+        """``outside_graph``: conv2d's ``source`` and ``out``, which read the
+        padded input block by block and write the output into a given
+        array; see ``tensor.conv2d``."""
+        return T.conv2d(x, self.weight, stride=self.stride, padding=self.padding,
+                        **outside_graph)
 
 
 class Linear(Module):
@@ -172,3 +176,9 @@ class BatchNorm2d(Module):
             training=self.training, momentum=self.momentum, eps=self.eps,
             relu=relu, pad=pad,
         )
+
+    def relu_source(self, x):
+        """A conv's ``source`` for ``self(x, relu=True, pad=p)`` in eval mode
+        outside a graph: see ``tensor.eval_bn_relu_source``."""
+        return T.eval_bn_relu_source(x, self.gamma, self.beta, self.running_mean,
+                                     self.running_var, eps=self.eps)

@@ -162,39 +162,65 @@ class ResidualBlock(Module):
         if self.attn is not None:
             self.child("attn", self.attn)
 
-    def branch_and_shortcut(self, x):
+    def branch_and_shortcut(self, x, in_blocks=False):
         """Returns (residual branch output, shortcut tensor). The shortcut
         is the raw input for identity blocks, else the projected first
         pre-activation — the tensor whose squeeze competes with the branch.
 
-        Once its conv (and, for the first, the projection) has read it, each
-        pre-activation is released: a graph then holds none of them, and
-        backward rebuilds each for its readers (``Tensor.release``). Without
-        a graph nothing is released; rebinding ``h`` and dropping ``pre``
-        free each activation before the next is built.
-
-        A projection block's input has no reader after bn1, but its caller
-        still holds it. So when neither it nor bn1's output is in a graph,
-        it is dropped there (``Tensor.drop``); in a graph it is bn1's input,
-        and a leaf that requires grad is kept for whoever made it."""
+        With ``in_blocks`` (eval mode outside a graph, see ``forward``), see
+        ``_in_blocks``. Otherwise each pre-activation is one batch_norm op,
+        whose padded output its conv reads. Once its conv (and, for the
+        first, the projection) has read it, it is released: a graph then
+        holds none of them, and backward rebuilds each for its readers
+        (``Tensor.release``). Without a graph nothing is released; rebinding
+        ``h`` and dropping ``pre`` free each activation before the next is
+        built."""
+        if in_blocks:
+            return self._in_blocks(x)
         h, x_id = x, x
         for i, (bn, conv) in enumerate(self.units):
             h = bn(h, relu=True, pad=conv.padding)
             if i == 0 and self.proj is not None:
-                if not (h.requires_grad or x.requires_grad):
-                    x.drop()
                 x_id = self.proj(h)
             pre, h = h, conv(h)
             pre.release()
             del pre
         return h, x_id
 
+    def _in_blocks(self, x):
+        """``branch_and_shortcut`` in eval mode outside a graph. Each unit is
+        one conv2d call whose source, its batch norm's ``relu_source``,
+        writes the pre-activation one image block at a time into a buffer
+        that the conv reuses: no whole-batch pre-activation exists. A unit
+        whose input is the previous conv's output, the block's own array,
+        writes its output over it where the shapes match.
+
+        A projection block's input has no reader after conv1 and the
+        projection, which read it through the one source, but its caller
+        still holds it. So it is dropped then (``Tensor.drop``), unless it is
+        a leaf that requires grad, kept for whoever made it."""
+        h, x_id = x, x
+        for i, (bn, conv) in enumerate(self.units):
+            source = bn.relu_source(h)
+            if i == 0 and self.proj is not None:
+                x_id = self.proj(h, source=source)
+            # padding k // 2 keeps the extent at stride 1
+            over = i > 0 and conv.stride == 1 and conv.weight.shape[2] == conv.weight.shape[3]
+            h = conv(h, source=source, out=h.data if over else None)
+            if i == 0 and self.proj is not None and not x.requires_grad:
+                x.drop()
+        return h, x_id
+
     def forward(self, x):
-        """The block output. A projection output is dropped after the tail:
-        backward reads only its shape, in the pool, and passes the tail's
-        gradient to it unchanged (``Tensor.drop``)."""
-        u_r, x_id = self.branch_and_shortcut(x)
-        out = recalibrate_and_add(u_r, x_id, self.attn)
+        """The block output. In eval mode outside a graph, the units run in
+        image blocks (``_in_blocks``), and the tail writes the output over
+        the branch output, which the block owns and the squeezes have read.
+        A projection output is dropped after the tail: backward reads only
+        its shape, in the pool, and passes the tail's gradient to it
+        unchanged (``Tensor.drop``)."""
+        in_blocks = not self.training and not T.in_graph(x, *self.parameters())
+        u_r, x_id = self.branch_and_shortcut(x, in_blocks)
+        out = recalibrate_and_add(u_r, x_id, self.attn, out=u_r.data if in_blocks else None)
         if self.proj is not None:
             x_id.drop()
         return out

@@ -191,7 +191,8 @@ class Tensor:
         else of it, such as a block's projection output (see
         ``network.ResidualBlock.forward``), or for one outside any graph
         that no op will read again, such as a projection block's input once
-        its bn1 has run without a graph (``branch_and_shortcut``)."""
+        conv1 and the projection have read it in an eval forward
+        (``network.ResidualBlock._in_blocks``)."""
         del self.data, self.padded
 
     def padded_by(self, pad):
@@ -327,6 +328,20 @@ def _result(data, name, *vjps):
     return out
 
 
+def in_graph(*tensors):
+    """Whether an op on ``tensors`` joins a graph: grad is enabled and one of
+    them requires grad (the rule of ``_result``)."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
+def _refuse_graph(op, *inputs):
+    """Raise ValueError if ``op`` on ``inputs`` would join a graph: it was
+    asked to write into an array, or to read a source, that its gradient
+    functions could not read again."""
+    if in_graph(*inputs):
+        raise ValueError(f"{op} takes an out array or a source only outside a graph")
+
+
 def _once_per_gradient(fn):
     """``fn`` memoized on the identity of its gradient argument: the products
     of one op, called with the same ``g``, share one ``fn(g)``."""
@@ -423,8 +438,11 @@ def _sum_to(grad, shape, y=None):
 # elementwise / broadcast ops
 # ---------------------------------------------------------------------------
 
-def add(a, b):
-    return _result(a.data + b.data, "add",
+def add(a, b, out=None):
+    """``a + b``; outside a graph only, into ``out`` if given."""
+    if out is not None:
+        _refuse_graph("add", a, b)
+    return _result(np.add(a.data, b.data, out=out), "add",
                    (a, lambda g: _sum_to(g, a.shape)), (b, lambda g: _sum_to(g, b.shape)))
 
 
@@ -578,7 +596,13 @@ def _image_blocks(n, images):
     return list(zip(ends, ends[1:]))
 
 
-def conv2d(x, w, stride=1, padding=0):
+def _run_start(b, e):
+    """Where conv2d's run of images b..e starts in a padded batch: at b. A
+    run from a ``source`` starts at 0 of its block buffer."""
+    return b
+
+
+def conv2d(x, w, stride=1, padding=0, source=None, out=None):
     """2-D convolution, channels-last.
 
     x: (N, H, W, Cin); w: (kh, kw, Cin, Cout); symmetric zero padding.
@@ -597,18 +621,28 @@ def conv2d(x, w, stride=1, padding=0):
     ==== ============== ============================== ================================
 
     The flat grid (stride 1, a kernel above 1x1, Cin > 1 and ``_BLAS_GEMM``
-    bound) reads the padded input as (N*Hp*Wp, Cin) rows, tap (i, j) at row
-    offset i*Wp + j, and adds each tap's GEMM in place; the forward pass takes
-    it when Ho, Wo >= _FLAT_FORWARD_MIN and Cin >= _FLAT_FORWARD_MIN_CIN, dX
-    when Ho, Wo >= _FLAT_DX_MIN. Its dX has shift-and-GEMM's bits up to 256
+    bound) reads a block's padded images as (rows, Cin) rows, tap (i, j) at
+    row offset i*Wp + j, and adds each tap's GEMM in place; the forward pass
+    takes it when Ho, Wo >= _FLAT_FORWARD_MIN and Cin >= _FLAT_FORWARD_MIN_CIN,
+    dX when Ho, Wo >= _FLAT_DX_MIN. Its dX has shift-and-GEMM's bits up to 256
     output channels (Cin = 1 would run as matrix-vector products, which add
     in another order); its forward differs from im2col's in the last bits.
 
-    With ``padding`` p the conv reads ``x.padded`` when it has the padded
-    shape (see ``batch_norm``), and dW reads it again through
-    ``x.padded_by(p)``, rebuilt if x was released. Otherwise it pads its own
-    copy, which the graph keeps for dW. dX is the interior view of a padded
-    array.
+    The forward pass takes its padded input one block of images at a time.
+    With ``padding`` p the blocks are views of ``x.padded`` when it has the
+    padded shape (see ``batch_norm``), and dW reads it again through
+    ``x.padded_by(p)``, rebuilt if x was released. Otherwise the conv pads
+    its own copy, which the graph keeps for dW. dX is the interior view of a
+    padded array.
+
+    Outside a graph, two arguments spare whole-batch arrays. ``source(block,
+    b, e)`` writes the padded images b..e into ``block``, a zero-bordered
+    (e-b, H+2p, W+2p, Cin) array that the forward reuses block after block,
+    so that no padded input of the whole batch exists; x then gives only its
+    shape and dtype (see ``eval_bn_relu_source``). ``out``, a C-contiguous
+    array of the output's shape and dtype, receives the output. It may be
+    x's own array: the output images of a block are written after its input
+    images were read.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D, got {x.ndim}-D")
@@ -627,59 +661,78 @@ def conv2d(x, w, stride=1, padding=0):
             "conv2d",
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wd}",
         )
-    # the conv's own padded copy, or None when it reads x's array
-    copy = None
-    xp = x.padded_by(padding)
-    if xp is None:
-        xp = copy = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=x.dtype)
-        copy[:, padding : padding + h, padding : padding + wd, :] = x.data
+    dtype = np.result_type(x.dtype, w.dtype)
+    if source is not None or out is not None:
+        _refuse_graph("conv2d", x, w)
+    if out is not None and (out.shape != (n, ho, wo, cout) or out.dtype != dtype
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"conv2d out must be a C-contiguous {(n, ho, wo, cout)} {dtype} "
+                         f"array, got {out.shape} {out.dtype} with strides {out.strides}")
     w_flat = np.ascontiguousarray(w.data).reshape(kh * kw * cin, cout)
-    dtype = np.result_type(xp, w_flat)
-    xp_shape, xp_dtype = xp.shape, xp.dtype
-    hp, wp = xp_shape[1:3]
+    hp, wp = h + 2 * padding, wd + 2 * padding
     flat = (_BLAS_GEMM is not None and stride == 1 and kh * kw > 1 and cin > 1
-            and xp.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
+            and x.dtype == w_flat.dtype == dtype and dtype in (np.float32, np.float64))
     # tap (i, j)'s row offset on the flat grid
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     outs = ho * wo                        # outputs per image
     blocks = _image_blocks(n, max(1, _SLICE_ROWS // outs))
     most = blocks[-1][1] - blocks[-1][0]
     # the im2col passes take fewer images where a block's rows overfill the workspace
-    fits = _WORKSPACE_BYTES // (kh * kw * cin * xp.itemsize)
+    fits = _WORKSPACE_BYTES // (kh * kw * cin * x.dtype.itemsize)
     cut = _image_blocks(n, max(1, min(_SLICE_ROWS, fits) // outs))
+    flat_forward = flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN
 
-    def im2col(xp):
+    # the conv's own padded copy, or None when it reads x's array or the source
+    copy = None
+    if source is None:
+        xp = x.padded_by(padding)
+        if xp is None:
+            xp = copy = np.zeros((n, hp, wp, cin), dtype=x.dtype)
+            copy[:, padding : padding + h, padding : padding + wd, :] = x.data
+        start = _run_start
+    else:
+        # one run's padded images, rewritten run after run
+        last = (blocks if flat_forward else cut)[-1]
+        xp = np.zeros((last[1] - last[0], hp, wp, cin), dtype=x.dtype)
+
+        def start(b, e):
+            source(xp[:e - b], b, e)
+            return 0
+
+    def im2col(xp, start):
         """``(rows, cols)`` per run of ``cut``: its output rows, and its
         images' (rows, kh*kw*Cin) im2col block, copied from a window view of
-        ``xp`` into the front of one workspace that each block overwrites."""
+        ``xp`` from image ``start(b, e)`` on into the front of one workspace
+        that each block overwrites."""
         sn, sh, sw, sc = xp.strides
         windows = np.lib.stride_tricks.as_strided(
-            xp, shape=(n, ho, wo, kh, kw, cin),
+            xp, shape=(len(xp), ho, wo, kh, kw, cin),
             strides=(sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
         ws = np.empty((cut[-1][1] - cut[-1][0]) * outs * kh * kw * cin, dtype=xp.dtype)
         for b, e in cut:
-            part = windows[b:e]
+            i = start(b, e)
+            part = windows[i:i + e - b]
             block = ws[:part.size].reshape(part.shape)
             block[...] = part
             yield slice(b * outs, e * outs), block.reshape(-1, kh * kw * cin)
 
-    data = np.empty((n, ho, wo, cout), dtype=dtype)
-    if flat and min(ho, wo) >= _FLAT_FORWARD_MIN and cin >= _FLAT_FORWARD_MIN_CIN:
+    data = np.empty((n, ho, wo, cout), dtype=dtype) if out is None else out
+    if flat_forward:
         # a block's last grid rows would read past the block, and hold no
         # output position, so the GEMMs stop short of them
-        grid = xp.reshape(n * hp * wp, cin)
+        grid = xp.reshape(-1, cin)
         buf = np.empty((most * hp * wp, cout), dtype=dtype)
         for b, e in blocks:
-            base, rows = b * hp * wp, (e - b) * hp * wp - offsets[-1]
+            base, rows = start(b, e) * hp * wp, (e - b) * hp * wp - offsets[-1]
             beta = 0   # the first tap overwrites what the last block left
             for off, w_tap in zip(offsets, w_flat.reshape(kh * kw, cin, cout)):
                 _BLAS_GEMM(buf[:rows], grid[base + off:base + off + rows], w_tap, beta)
                 beta = 1
             data[b:e] = buf[:(e - b) * hp * wp].reshape(e - b, hp, wp, cout)[:, :ho, :wo]
     else:
-        out = data.reshape(n * outs, cout)
-        for rows, cols in im2col(xp):
-            np.matmul(cols, w_flat, out=out[rows])
+        y_rows = data.reshape(n * outs, cout)
+        for rows, cols in im2col(xp, start):
+            np.matmul(cols, w_flat, out=y_rows[rows])
 
     def grad_w(g):
         g_flat = g.reshape(n * outs, cout)
@@ -687,14 +740,15 @@ def conv2d(x, w, stride=1, padding=0):
         prod = np.empty_like(gw)
         # x's own array, rebuilt if x was released, or the copy; the blocks'
         # products add in order
-        for rows, cols in im2col(x.padded_by(padding) if copy is None else copy):
+        xp = x.padded_by(padding) if copy is None else copy
+        for rows, cols in im2col(xp, _run_start):
             gw += np.matmul(cols.T, g_flat[rows], out=prod)
         return gw.reshape(w.shape)
 
     def grad_x(g):
         # each tap's (Cout, Cin) weight, contiguous for the binding
         kernel_t = np.ascontiguousarray(w_flat.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
-        gxp = np.zeros(xp_shape, dtype=xp_dtype)
+        gxp = np.zeros((n, hp, wp, cin), dtype=x.dtype)
         if flat and min(ho, wo) >= _FLAT_DX_MIN:
             # a block of g sits in the top-left corners of a zero grid, so
             # grid row r holds the gradient of the output that tap (i, j)
@@ -731,14 +785,16 @@ def global_avg_pool(x):
     return mean_over(x, (1, 2))
 
 
-def channel_scale_add(s, u, x):
+def channel_scale_add(s, u, x, out=None):
     """``u * s[:, None, None, :] + x`` as one op: s (N, C); u, x (N, H, W, C).
 
     The block tail of a recalibrated residual: one output array, and no
     product array kept for backward, which reads ``u`` and ``s``. Its bits
     and gradients are those of ``add(mul(reshape(s), u), x)``; the parents
     are ordered (s, u, x) so that a tensor reached through several of them
-    sums its gradient terms in that composite's order.
+    sums its gradient terms in that composite's order. Outside a graph
+    only, the result is written into ``out`` if given, which may be
+    ``u.data``: a caller that owns ``u`` and is done reading it.
     """
     if s.shape != (u.shape[0], u.shape[-1]):
         raise ShapeError("channel_scale_add",
@@ -746,24 +802,27 @@ def channel_scale_add(s, u, x):
                          axis=3)
     if x.shape != u.shape:
         raise ShapeError("channel_scale_add", f"addend {x.shape} does not match {u.shape}")
+    if out is not None:
+        _refuse_graph("channel_scale_add", s, u, x)
     n, c = s.shape
     s4 = s.data.reshape(n, 1, 1, c)
-    data = s4 * u.data
+    data = np.multiply(s4, u.data, out=out)
     data += x.data
     return _result(data, "channel_scale_add",
                    (s, lambda g: _sum_to(g, s4.shape, u.data).reshape(s.shape)),
                    (u, lambda g: g * s4), (x, lambda g: g))
 
 
-def _centered(x, mean, pad):
-    """``(buf, data)``: ``x - mean`` in a new array ``data``. With ``pad`` it
-    is the interior view of ``buf``, a zeroed (N, H+2p, W+2p, C) array;
-    else ``buf`` is ``data``."""
+def _centered(x, mean, pad, buf=None):
+    """``(buf, data)``: ``x - mean`` in ``data``. With ``pad`` it is the
+    interior view of ``buf``, an (N, H+2p, W+2p, C) array, zeroed when new;
+    else ``buf`` is ``data``. ``buf`` is new unless given, C-contiguous."""
     if not pad:
-        buf = _by_channel(np.subtract, x, mean)
+        buf = _by_channel(np.subtract, x, mean, out=buf)
         return buf, buf
     n, h, wd, c = x.shape
-    buf = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.result_type(x, mean))
+    if buf is None:
+        buf = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), dtype=np.result_type(x, mean))
     # x - mean straight into the interior, one image row (W*C values) at a time
     rows = buf.reshape(n, h + 2 * pad, -1)[:, pad : pad + h, pad * c : (pad + wd) * c]
     np.subtract(x.reshape(n, h, wd * c), np.tile(mean, wd), out=rows)
@@ -880,6 +939,25 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
     if out.requires_grad:
         out._rebuild = arrays
     return out
+
+
+def eval_bn_relu_source(x, gamma, beta, running_mean, running_var, eps=1e-5):
+    """``conv2d``'s ``source`` for the eval-mode pre-activation
+    ``batch_norm(x, gamma, beta, running_mean, running_var, training=False,
+    relu=True, pad=p)`` outside a graph. Each call writes that op's padded
+    output images b..e into the conv's block, by the op's own elementwise ops
+    in the same order, so with its bits; p is the block's, so that one
+    source serves a padded conv and an unpadded projection alike. It reads
+    ``x.data`` at each call."""
+    dt = x.dtype.type
+    inv_std = dt(1) / np.sqrt(running_var.data + dt(eps))
+
+    def fill(block, b, e):
+        pad = (block.shape[1] - x.shape[1]) // 2
+        _centered(x.data[b:e], running_mean.data, pad, block)
+        _scale_shift(block, inv_std, gamma.data, beta.data, True, pad)
+
+    return fill
 
 
 def cross_entropy(logits, labels):

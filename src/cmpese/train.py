@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .data import MixupConfig, augment_batch, iterate_minibatches, mixup_batch
 from .errors import ConfigError, DataFormatError, NonFiniteError, TrainingDiverged, \
-    from_dict, require_bool, require_choice, require_int, require_number
+    from_dict, output_dir, require_bool, require_choice, require_int, require_number
 from .network import spec_to_dict
 from .tensor import Tensor, no_grad
 
@@ -204,8 +204,8 @@ def train(model, train_data, cfg, eval_data=None, out_dir=None, clock=None,
 
     csv_file = None
     ckpt_path = None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    if out_dir is not None:
+        output_dir(out_dir, ConfigError)
         ckpt_path = os.path.join(out_dir, "last.ckpt")
         csv_file = _open_metrics(os.path.join(out_dir, "metrics.csv"), start_epoch)
 

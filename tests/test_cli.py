@@ -138,6 +138,17 @@ def test_synth_data_writes_npz(tmp_path, capsys, monkeypatch):
     np.testing.assert_array_equal(ds.images, want.images)
 
 
+def test_synth_data_prints_the_path_it_wrote(tmp_path, capsys, monkeypatch):
+    # np.savez appends ".npz" to a path without it
+    monkeypatch.delenv("CMPESE_SEED", raising=False)
+    out = tmp_path / "adir"
+    manifest = write_json(tmp_path / "toy.json", {
+        "class_count": 2, "n_per_class": 4, "seed": 4, "out": str(out)})
+    assert cli.main(["synth-data", manifest]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}.npz: 8 samples")
+    assert not out.exists() and len(load_dataset_npz(f"{out}.npz")) == 8
+
+
 def test_env_seed_overrides_manifest(tmp_path, capsys, monkeypatch):
     out = tmp_path / "toy.npz"
     manifest = write_json(tmp_path / "toy.json", {
@@ -378,6 +389,22 @@ def test_export_attention_writes_stats_and_maps(trained_run, capsys):
     maps_lines = (dest / "inner_images.csv").read_text().splitlines()
     assert len(maps_lines) == 1 + 3 * 4 * 2   # blocks x samples x phases
     assert "inner map" in out                 # the heatmap banner
+
+
+@pytest.mark.parametrize("command", ["train", "export-attention"])
+def test_an_output_directory_that_names_a_file_fails_cleanly(trained_run, tmp_path, capsys,
+                                                             command):
+    _, out_dir, eval_npz = trained_run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "train":
+        argv = ["train", experiment_config(tmp_path, out_name="taken")]
+    else:
+        argv = ["export-attention", str(out_dir / "last.ckpt"), str(eval_npz), str(taken)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {taken}: cannot be made an output directory")
+    assert len(err.splitlines()) == 1 and taken.read_text() == ""
 
 
 def test_train_rejects_unknown_config_key(tmp_path, capsys):

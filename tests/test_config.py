@@ -47,6 +47,12 @@ def test_a_section_of_the_wrong_type_is_refused(tmp_path, sections, key):
         load_experiment(write_config(tmp_path, **sections))
 
 
+def test_an_empty_out_dir_is_refused(tmp_path):
+    # "" names no directory: a run given it would write nothing
+    with pytest.raises(ConfigError, match="out_dir must be a non-empty path string"):
+        load_experiment(write_config(tmp_path, out_dir=""))
+
+
 def test_a_config_that_is_not_an_object_is_refused(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text("[]")

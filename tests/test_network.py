@@ -389,6 +389,28 @@ def test_wrn_16_2_forward_without_a_graph_frees_each_projection_block_s_input():
     assert peak - before <= 27.5 * 2**20
 
 
+@pytest.mark.skipif(T._BLAS_GEMM is None, reason="no BLAS gemm binding")
+def test_wrn_16_2_eval_forward_builds_no_whole_batch_pre_activation():
+    # each unit builds its pre-activation one run of images at a time and
+    # writes over the arrays its block owns, so above the parameters and the
+    # input the eval forward at batch 64 peaks at block 0: its input,
+    # conv1's output and the projection's (20 MiB), and run-sized buffers.
+    # Whole-batch padded pre-activations peaked at 26.2 MiB
+    x = np.random.default_rng(1).standard_normal((64, 32, 32, 3), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        model = build(wrn(16, 2, mode="folded3x3", t=4), rng=np.random.default_rng(0))
+        model.eval()
+        before, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            logits = model.forward(Tensor(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (64, 10)
+    assert peak - before <= 24 * 2**20
+
+
 def projection_block_and_input(requires_grad=False):
     """The ``projection`` block of ``RELEASING_BLOCKS`` in eval mode, and an
     input to it: an op output, or a leaf that requires grad."""
@@ -489,11 +511,12 @@ RELEASING_BLOCKS = {
 }
 
 
-def held_block_forward(blk, x):
-    """``blk.forward`` through the tensor API, releasing nothing."""
+def held_block_forward(blk, x, training=True):
+    """``blk.forward`` through the tensor API, releasing nothing: whole-batch
+    pre-activations, and no array written over."""
     h, x_id = x, x
     for i, (bn, conv) in enumerate(blk.units):
-        h = T.batch_norm(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, True,
+        h = T.batch_norm(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, training,
                          relu=True, pad=conv.padding)
         if i == 0 and blk.proj is not None:
             x_id = T.conv2d(h, blk.proj.weight, stride=blk.proj.stride)
@@ -521,6 +544,41 @@ def test_released_block_gradients_are_bitwise_the_held_ones(kind):
     assert len(got) == len(want) and all(g is not None for g in got)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", list(RELEASING_BLOCKS))
+def test_eval_block_without_a_graph_is_bitwise_the_whole_batch_ops(kind, monkeypatch):
+    # each unit runs as one conv over runs of one or two images of its
+    # pre-activation; the block reads its input and never writes over it
+    monkeypatch.setattr(T, "_SLICE_ROWS", 100)
+    blk = ResidualBlock(RELEASING_BLOCKS[kind], rng=np.random.default_rng(3))
+    rng = np.random.default_rng(12)
+    for bn, _ in blk.units:
+        bn.running_mean.data[...] = 0.1 * rng.standard_normal(bn.running_mean.shape)
+        bn.running_var.data[...] = rng.uniform(0.5, 2, bn.running_var.shape)
+    blk.eval()
+    x = np.random.default_rng(5).standard_normal((5, 8, 8, 8), dtype=np.float32)
+    with no_grad():
+        want = held_block_forward(blk, Tensor(x.copy()), training=False).data
+        h = T.scale(Tensor(x), 1.0)   # an op output, as a block's input is
+        got = blk(h).data
+    assert np.array_equal(got, want)
+    if blk.proj is None:
+        assert np.array_equal(h.data, x)
+
+
+def test_eval_block_writes_over_the_arrays_it_owns(monkeypatch):
+    # conv2 over conv1's output, and the tail over conv2's
+    blk = ResidualBlock(RELEASING_BLOCKS["identity"], rng=np.random.default_rng(3))
+    blk.eval()
+    convs, conv = [], T.conv2d
+    monkeypatch.setattr(T, "conv2d", lambda *a, **k: convs.append(conv(*a, **k)) or convs[-1])
+    x = Tensor(np.random.default_rng(5).standard_normal((2, 8, 8, 8), dtype=np.float32))
+    with no_grad():
+        y = blk(x)
+    u1, u2 = convs[:2]   # then the unit's scan
+    assert u2.data is u1.data and y.data is u2.data
+    assert not np.shares_memory(y.data, x.data)
 
 
 @pytest.mark.parametrize("kind", list(RELEASING_BLOCKS))

@@ -44,15 +44,14 @@ def test_step_faults_times_one_step():
 
 
 def test_bitwise_modes_prints_two_stable_digests_per_mode():
-    # two digests per mode, then one of the WRN-16-2 step; each line the
-    # same in both runs
+    # two digests per mode, then two of the WRN-16-2 step (its state, then
+    # its eval logits at batch 256); each line the same in both runs
     runs = [run_script("bitwise_modes.py", SRC) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
-        *lines, last = proc.stdout.splitlines()
-        assert [line.split()[0] for line in lines] == list(MODE_NAMES)
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == [*MODE_NAMES, "wrn16x2"]
         assert all(re.fullmatch(r"\S+ [0-9a-f]{64} [0-9a-f]{64}", line) for line in lines)
-        assert re.fullmatch(r"wrn16x2 [0-9a-f]{64}", last)
     assert runs[0].stdout == runs[1].stdout
 
 

@@ -450,6 +450,56 @@ def test_conv2d_output_extent():
     assert T.conv2d(x, w, stride=2, padding=1).shape == (1, 4, 4, 1)
 
 
+def eval_bn_params(c, dtype=np.float32):
+    """gamma, beta, running mean and running variance of an eval batch norm."""
+    rng = np.random.default_rng(31)
+    return [Tensor(v.astype(dtype)) for v in (rng.uniform(0.5, 1.5, c), 0.1 * rng.standard_normal(c),
+                                              0.1 * rng.standard_normal(c), rng.uniform(0.5, 2, c))]
+
+
+@pytest.mark.parametrize("conv_path", ["flat", "fallback"], indirect=True)
+@pytest.mark.parametrize("kernel, stride, pad, cout", [(3, 1, 1, 8), (1, 2, 0, 16), (3, 2, 1, 16)])
+def test_conv2d_from_an_eval_bn_relu_source_is_bitwise_the_two_ops(conv_path, monkeypatch,
+                                                                   kernel, stride, pad, cout):
+    # the conv takes its padded pre-activation one run of images at a time,
+    # from one reused buffer: one or two images per run here; given its
+    # input's array as out, it writes over it
+    monkeypatch.setattr(T, "_SLICE_ROWS", 32)
+    x = Tensor(RNG.standard_normal((5, 8, 8, 8), dtype=np.float32))
+    w = Tensor(RNG.standard_normal((kernel, kernel, 8, cout), dtype=np.float32))
+    bn = eval_bn_params(8)
+    with no_grad():
+        pre = T.batch_norm(x, *bn, False, relu=True, pad=pad)
+        want = T.conv2d(pre, w, stride=stride, padding=pad).data
+        source = T.eval_bn_relu_source(x, *bn)
+        assert np.array_equal(T.conv2d(x, w, stride=stride, padding=pad, source=source).data,
+                              want)
+        if want.shape == x.shape:
+            y = T.conv2d(x, w, stride=stride, padding=pad, source=source, out=x.data)
+            assert y.data is x.data and np.array_equal(x.data, want)
+
+
+def test_out_arrays_and_sources_are_refused_in_a_graph():
+    # a gradient function would read what out overwrote, or the whole padded
+    # input that a source never builds
+    x = Tensor(RNG.standard_normal((2, 4, 4, 3), dtype=np.float32), requires_grad=True)
+    w = Tensor(RNG.standard_normal((3, 3, 3, 3), dtype=np.float32))
+    s = Tensor(RNG.uniform(0.1, 0.9, (2, 3)).astype(np.float32))
+    for op in (lambda: T.conv2d(x, w, padding=1, out=np.empty(x.shape, np.float32)),
+               lambda: T.conv2d(x, w, padding=1, source=lambda block, b, e: None),
+               lambda: T.channel_scale_add(s, x, x, out=np.empty(x.shape, np.float32)),
+               lambda: T.add(x, x, out=np.empty(x.shape, np.float32))):
+        with pytest.raises(ValueError, match="only outside a graph"):
+            op()
+    with no_grad():
+        with pytest.raises(ValueError, match="C-contiguous"):
+            T.conv2d(x, w, padding=1, out=np.empty((2, 4, 4, 4), np.float32))
+        u = Tensor(x.data.copy())
+        want = T.channel_scale_add(s, u, x).data
+        y = T.channel_scale_add(s, u, x, out=u.data)
+    assert y.data is u.data and np.array_equal(u.data, want)
+
+
 def test_conv2d_shape_errors_name_the_axis():
     x = Tensor(np.zeros((1, 4, 4, 3), dtype=np.float32))
     w = Tensor(np.zeros((3, 3, 2, 1), dtype=np.float32))
