@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -93,7 +94,7 @@ def load_tensors(path):
                                   f"{_MAX_RANK}", byte_offset=pos - 1)
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents"))
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         data = take(nbytes, f"values of {name!r}")
         arrays[name] = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(
             dtype).reshape(shape)

@@ -196,7 +196,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CmpeSeError, FileNotFoundError) as e:
+    except (CmpeSeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,12 @@ class MixupConfig:
         require_int("mixup.tail_epochs", self.tail_epochs, 0)
         if self.enabled and self.alpha <= 0:
             raise ConfigError(f"mixup.alpha must be positive, got {self.alpha}")
+        if not self.enabled:
+            # a setting that would do nothing is refused, not ignored
+            for f in fields(self):
+                if f.name != "enabled" and getattr(self, f.name) != f.default:
+                    raise ConfigError(f"mixup.{f.name} is {getattr(self, f.name)!r}, but "
+                                      "mixup is not enabled")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ class TrainConfig:
             require_int(key, getattr(self, key), least)
         for key in ("base_lr", "momentum", "weight_decay"):
             require_number(key, getattr(self, key))
+        if self.base_lr < 0:
+            # a negative rate climbs the loss instead of descending it
+            raise ConfigError(f"base_lr must be at least 0, got {self.base_lr}")
         for key in ("nesterov", "augment"):
             require_bool(key, getattr(self, key))
         if self.total_epochs() < 1:
@@ -126,9 +129,10 @@ def sgd_nesterov_step(params, velocity, lr, momentum, weight_decay,
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(w)
-        v = dt(momentum) * v - dt(lr) * g
+        step = dt(lr) * g
+        v = dt(momentum) * v - step
         if nesterov:
-            w += dt(momentum) * v - dt(lr) * g
+            w += dt(momentum) * v - step
         else:
             w += v
         velocity[name] = v

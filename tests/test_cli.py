@@ -407,6 +407,28 @@ def test_an_output_directory_that_names_a_file_fails_cleanly(trained_run, tmp_pa
     assert len(err.splitlines()) == 1 and taken.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["train", "synth-data", "export-attention"])
+def test_an_output_file_that_is_a_directory_fails_cleanly(trained_run, tmp_path, capsys,
+                                                          command):
+    _, out_dir, eval_npz = trained_run
+    if command == "train":
+        blocked = tmp_path / "run" / "metrics.csv"
+        argv = ["train", experiment_config(tmp_path)]
+    elif command == "synth-data":
+        blocked = tmp_path / "d.npz"
+        argv = ["synth-data", write_json(tmp_path / "toy.json", {
+            "class_count": 2, "n_per_class": 4, "seed": 4, "out": str(blocked)})]
+    else:
+        blocked = tmp_path / "diag" / "attention_stats.csv"
+        argv = ["export-attention", str(out_dir / "last.ckpt"), str(eval_npz),
+                str(tmp_path / "diag")]
+    blocked.mkdir(parents=True)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocked) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_train_rejects_unknown_config_key(tmp_path, capsys):
     cfg = write_json(tmp_path / "exp.json", {
         "network": {"family": "wrn", "depth": 10, "widen_factor": 1,

@@ -316,7 +316,9 @@ def test_mixup_config_validation():
     assert MixupConfig().tail_epochs == 20
     with pytest.raises(ConfigError):
         MixupConfig(enabled=True, alpha=0.0)
-    MixupConfig(enabled=False, alpha=0.0)   # ignored when disabled
+    # a setting that would be ignored is refused
+    with pytest.raises(ConfigError, match="alpha"):
+        MixupConfig(enabled=False, alpha=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -486,6 +487,16 @@ def test_tensor_file_layout_errors_name_file_and_offset(tmp_path, at, new, messa
     assert exc.value.byte_offset == at
 
 
+def test_tensor_file_extents_whose_product_wraps_an_int64_read_as_truncated(tmp_path):
+    # rank 4 with extents of 2**16: 2**64 values, which an int64 product
+    # would wrap to 0
+    path = edited_tensor_file(tmp_path, 17, b"\x04" + struct.pack("<4I", *[2**16] * 4))
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{path}: truncated while reading values of 'ab'")) as exc:
+        load_tensors(path)
+    assert exc.value.byte_offset == 34
+
+
 def test_tensor_file_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(DataFormatError):
         save_tensors(tmp_path / "t.bin", {"w": np.ones(3, dtype=np.float16)})
@@ -662,6 +673,10 @@ def test_unknown_keys_rejected():
     ({"momentum": True}, "momentum"),
     ({"weight_decay": None}, "weight_decay"),
     ({"preset": ["svhn"]}, "preset"),
+    # a setting that would do nothing, or turn descent into ascent
+    ({"base_lr": -0.1}, "base_lr"),
+    ({"mixup": {"enabled": False, "alpha": 0.2}}, "alpha"),
+    ({"mixup": {"tail_epochs": 5}}, "tail_epochs"),
 ])
 def test_settings_that_cannot_train_are_rejected(override, key):
     with pytest.raises(ConfigError, match=key):
